@@ -13,7 +13,7 @@ import numpy as np
 
 from .archparse import parse_arch, print_arch, build_network
 from .errors import ArchParseError, FormatError, InfeasibleMorphError, NetMorphError, ShapeError
-from .morph_depth import DepthMorphRequest, insert_depth, morph_general, morph_practical
+from .morph_depth import DepthMorphRequest, factor_chain, morph_general, morph_practical
 from .morph_variants import SubnetMorphRequest, WidthMorphRequest, expand_kernel, morph_stacked, widen
 from .netdef import ConvLayer, PActLayer, ParallelLayer
 from .serialize import load as load_net, save as save_net
@@ -50,7 +50,7 @@ def _layer_lines(net):
 def _conv_raw_index(net, ordinal):
     idx = net.conv_indices()
     if not 0 <= ordinal < len(idx):
-        raise ShapeError(f"conv layer {ordinal} out of range (network has {len(idx)} conv layers)")
+        raise UsageError(f"conv layer {ordinal} out of range (network has {len(idx)} conv layers)")
     return idx[ordinal]
 
 
@@ -100,8 +100,11 @@ def cmd_morph(args):
             raise ShapeError("depth morph needs --cl, --k1 and --k2")
         req = DepthMorphRequest(layer_index=raw, c_l=args.cl, k1=args.k1, k2=args.k2, seed=args.seed, tol=args.tol)
         solver = morph_general if args.alg == "general" else morph_practical
-        outcome = solver(net.layers[raw].weights, req)
-        child = insert_depth(net, req, algorithm=args.alg)
+        target = net.layers[raw]
+        outcome = solver(target.weights, req)
+        layers = list(net.layers)
+        layers[raw : raw + 1] = factor_chain(layers, raw, [outcome.f_lo, outcome.f_hi], target.bias)
+        child = net.with_layers(layers)
         composite = np.concatenate([outcome.f_lo.reshape(-1), outcome.f_hi.reshape(-1)])
         occ = occupancy(composite.reshape(-1, 1, 1, 1))
         print(f"op=depth layer={args.layer} residual={outcome.residual:.3e} shrunk_kernel={outcome.shrunk_kernel}")

@@ -212,12 +212,25 @@ def insert_depth(net: NetworkDef, req: DepthMorphRequest, algorithm: str = "prac
     if solver is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     outcome = solver(target.weights, req)
-    nxt = layers[req.layer_index + 1] if req.layer_index + 1 < len(layers) else None
-    base = nxt.base if isinstance(nxt, PActLayer) else "relu"
-    replacement = [
-        same_pad_conv(outcome.f_lo, fc=target.fc),
-        PActLayer(base=base, a=1.0),
-        same_pad_conv(outcome.f_hi, bias=target.bias, fc=target.fc),
-    ]
-    layers[req.layer_index : req.layer_index + 1] = replacement
+    layers[req.layer_index : req.layer_index + 1] = factor_chain(
+        layers, req.layer_index, [outcome.f_lo, outcome.f_hi], target.bias
+    )
     return net.with_layers(layers)
+
+
+def factor_chain(layers, index, factors, bias) -> list:
+    """The layers that replace conv ``layers[index]`` by its factor chain.
+
+    Consecutive factor convs are joined by an identity-parameter (a=1)
+    activation whose base is that of the activation following the parent
+    conv, or ReLU when none follows.  Every conv keeps the parent's ``fc``
+    hint; only the last one carries ``bias``.
+    """
+    target = layers[index]
+    nxt = layers[index + 1] if index + 1 < len(layers) else None
+    base = nxt.base if isinstance(nxt, PActLayer) else "relu"
+    chain = []
+    for f in factors[:-1]:
+        chain += [same_pad_conv(f, fc=target.fc), PActLayer(base=base, a=1.0)]
+    chain.append(same_pad_conv(factors[-1], bias=bias, fc=target.fc))
+    return chain

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleMorphError, ShapeError
-from .morph_depth import DepthMorphRequest, morph_practical, DEFAULT_TOL, DEFAULT_MAX_ITER
+from .morph_depth import DEFAULT_TOL, DepthMorphRequest, factor_chain, morph_practical
 from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer, phi_at_zero, same_pad_conv
 from .rng import make_rng
-from .tensor_ops import as_filter, compose_filters, lstsq_factor_step, pad_filter
+from .tensor_ops import as_filter, pad_filter
 
 
 @dataclass(frozen=True)
@@ -138,135 +138,44 @@ def expand_kernel(net: NetworkDef, layer_index: int, new_kernel: int) -> Network
 # sequential subnet morphing
 
 
-def _compose_chain(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = compose_filters(out, f)
-    return out
-
-
-def _middle_system_matrix(left, right, k: int):
-    """Matrix for the unknown middle factor X of compose(compose(left, X), right).
-
-    Rows are (c_top, c_bot, s1, s2) row-major over the composed filter,
-    columns are vec(X) with X of shape (right.c_in, left.c_out, k, k).
-    """
-    ci, c0, kl, _ = left.shape
-    cp, ci1, kr, _ = right.shape
-    kq = kl + kr - 1
-    # q[cp, ci1, ci, c0, t1, t2] = sum_{w+v=t} right[cp, ci1, w] * left[ci, c0, v]
-    q = np.zeros((cp, ci1, ci, c0, kq, kq))
-    for w1 in range(kr):
-        for w2 in range(kr):
-            q[:, :, :, :, w1 : w1 + kl, w2 : w2 + kl] += np.einsum(
-                "pq,rsab->pqrsab", right[:, :, w1, w2], left
-            )
-    kt = kq + k - 1
-    a = np.zeros((cp, c0, kt, kt, ci1, ci, k, k))
-    qt = q.transpose(0, 3, 4, 5, 1, 2)  # (cp, c0, kq, kq, ci1, ci)
-    for u1 in range(k):
-        for u2 in range(k):
-            a[:, :, u1 : u1 + kq, u2 : u2 + kq, :, :, u1, u2] = qt
-    return a.reshape(cp * c0 * kt * kt, ci1 * ci * k * k)
-
-
-def _solve_factor(g_tilde, factors, i):
-    """Least-squares update of factors[i] with the others fixed."""
-    if i == 0:
-        upper = _compose_chain(factors[1:])
-        solved, res = lstsq_factor_step(g_tilde, upper, "lower")
-    elif i == len(factors) - 1:
-        lower = _compose_chain(factors[:-1])
-        solved, res = lstsq_factor_step(g_tilde, lower, "upper")
-    else:
-        left = _compose_chain(factors[:i])
-        right = _compose_chain(factors[i + 1 :])
-        shape = factors[i].shape
-        amat = _middle_system_matrix(left, right, shape[2])
-        sol, *_ = np.linalg.lstsq(amat, g_tilde.reshape(-1), rcond=None)
-        solved = sol.reshape(shape)
-        trial = factors[:i] + [solved] + factors[i + 1 :]
-        res = float(np.linalg.norm(g_tilde - _compose_chain(trial)))
-    return solved, res
-
-
-def _run_bcd(g, widths, kernels, rng, tol, max_iter):
-    c_out, c_in = g.shape[0], g.shape[1]
-    chans = [c_in] + list(widths) + [c_out]
-    k_tilde = sum(kernels) - (len(kernels) - 1)
-    g_tilde = pad_filter(g, k_tilde)
-    norm = np.linalg.norm(g_tilde)
-    scale = norm if norm > 0 else 1.0
-    factors = [
-        rng.standard_normal((chans[p + 1], chans[p], kernels[p], kernels[p])) / np.sqrt(chans[p] * kernels[p] ** 2)
-        for p in range(len(kernels))
-    ]
-    rel = np.inf
-    for _ in range(max_iter):
-        for i in reversed(range(len(factors))):
-            factors[i], res = _solve_factor(g_tilde, factors, i)
-            rel = res / scale
-        if rel <= tol:
-            break
-    return factors, rel
-
-
-def morph_sequential(g, widths, kernels, seed: int = 0, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+def morph_sequential(g, widths, kernels, seed: int = 0, tol: float = DEFAULT_TOL):
     """Factor filter ``g`` into a chain of ``len(kernels)`` filters whose
-    composition equals the zero-padded ``g`` within ``tol`` (relative).
+    composition equals the zero-padded ``g``.
 
     ``widths`` are the hidden channel counts between consecutive factors
-    (one fewer than ``kernels``).  Solved by block coordinate descent on
-    the factors; if that stalls, kernels of non-expanding factors are
-    shrunk (and zero-padded back afterwards) as in the practical depth
-    morph.
+    (one fewer than ``kernels``).  The chain is built by peeling off one
+    factor at a time with the practical two-factor solver: ``g`` becomes
+    ``F1 ∘ H1`` with ``H1`` spanning the remaining layers' effective kernel,
+    then ``H1`` becomes ``F2 ∘ H2``, and so on.  Peel ``p`` is seeded with
+    ``seed + p`` and must reach relative residual ``tol``; a peel where
+    neither side can absorb its target raises ``InfeasibleMorphError``
+    naming that peel.
     """
     g = as_filter(g)
-    c_out, c_in, k, _ = g.shape
     kernels = [int(v) for v in kernels]
     widths = [int(v) for v in widths]
-    if len(kernels) < 2:
+    n = len(kernels)
+    if n < 2:
         raise ShapeError("a sequential morph needs at least two layers")
-    if len(widths) != len(kernels) - 1:
-        raise ShapeError(f"{len(kernels)} kernels need {len(kernels) - 1} widths, got {len(widths)}")
+    if len(widths) != n - 1:
+        raise ShapeError(f"{n} kernels need {n - 1} widths, got {len(widths)}")
     if any(v < 1 for v in widths):
         raise ShapeError("widths must be positive")
     if any(v < 1 or v % 2 == 0 for v in kernels):
         raise ShapeError("kernels must be odd and >= 1")
-    k_tilde = sum(kernels) - (len(kernels) - 1)
-    if k_tilde < k or (k_tilde - k) % 2 != 0:
-        raise ShapeError(f"effective kernel {k_tilde} incompatible with parent kernel {k}")
 
-    if len(kernels) == 2:
-        req = DepthMorphRequest(layer_index=0, c_l=widths[0], k1=kernels[0], k2=kernels[1], seed=seed, tol=tol)
-        outcome = morph_practical(g, req)
-        return [outcome.f_lo, outcome.f_hi]
-
-    chans = [c_in] + widths + [c_out]
-    counts = [chans[p + 1] * chans[p] * kernels[p] ** 2 for p in range(len(kernels))]
-    expander = int(np.argmax(counts))
-    if counts[expander] < g.size:
-        raise InfeasibleMorphError(
-            f"no factor has enough parameters to absorb the parent filter (need {g.size}, max is {counts[expander]})"
-        )
-
-    rng = make_rng(seed)
-    work = list(kernels)
-    while True:
-        factors, rel = _run_bcd(g, widths, work, rng, tol, max_iter)
-        if rel <= tol:
-            return [pad_filter(f, kq) for f, kq in zip(factors, kernels)]
-        # shrink the largest non-expanding kernel still above 1
-        candidates = [
-            p for p in range(len(work))
-            if p != expander and work[p] > 2 and sum(work) - 2 - (len(work) - 1) >= k
-        ]
-        if not candidates:
-            raise InfeasibleMorphError(
-                f"sequential morph did not converge after full kernel shrink (residual {rel:.3e})"
-            )
-        p = max(candidates, key=lambda q: (work[q], q))
-        work[p] -= 2
+    factors, rest = [], g
+    for p in range(n - 1):
+        k_rest = sum(kernels[p + 1 :]) - (n - p - 2)
+        req = DepthMorphRequest(layer_index=0, c_l=widths[p], k1=kernels[p], k2=k_rest, seed=seed + p, tol=tol)
+        try:
+            outcome = morph_practical(rest, req)
+        except InfeasibleMorphError as exc:
+            raise InfeasibleMorphError(f"sequential morph peel {p} of {n - 1}: {exc}") from exc
+        factors.append(outcome.f_lo)
+        rest = outcome.f_hi
+    factors.append(rest)
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +211,11 @@ def morph_stacked(net: NetworkDef, req: SubnetMorphRequest) -> NetworkDef:
     if len(req.path_specs) == 1 and len(req.path_specs[0]) == 1 and req.path_specs[0][0][0] == k:
         return net  # degenerate one-way stack of the original layer
 
-    nxt = layers[req.layer_index + 1] if req.layer_index + 1 < len(layers) else None
-    base = nxt.base if isinstance(nxt, PActLayer) else "relu"
     parts = split_stacked(target.weights, req.split_weights)
-
     paths = []
     for p, (g_i, spec) in enumerate(zip(parts, req.path_specs)):
-        bias = target.bias if p == 0 else np.zeros(target.c_out)
         if len(spec) == 1:
-            path = [same_pad_conv(pad_filter(g_i, spec[0][0]), bias=bias, fc=target.fc)]
+            factors = [pad_filter(g_i, spec[0][0])]
         else:
             factors = morph_sequential(
                 g_i,
@@ -319,12 +224,8 @@ def morph_stacked(net: NetworkDef, req: SubnetMorphRequest) -> NetworkDef:
                 seed=req.seed + p,
                 tol=req.tol,
             )
-            path = []
-            for f in factors[:-1]:
-                path.append(same_pad_conv(f, fc=target.fc))
-                path.append(PActLayer(base=base, a=1.0))
-            path.append(same_pad_conv(factors[-1], bias=bias, fc=target.fc))
-        paths.append(tuple(path))
+        bias = target.bias if p == 0 else np.zeros(target.c_out)
+        paths.append(tuple(factor_chain(layers, req.layer_index, factors, bias)))
 
     layers[req.layer_index] = ParallelLayer(paths=tuple(paths))
     return net.with_layers(layers)

@@ -29,13 +29,18 @@ BASES = ("relu", "tanh", "sigmoid")
 # parametric activations
 
 
+def _sigmoid(x):
+    # tanh form of 1/(1+exp(-x)): exp(-x) would overflow for x < -709
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def _phi(base: str, x):
     if base == "relu":
         return np.maximum(x, 0.0)
     if base == "tanh":
         return np.tanh(x)
     if base == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
+        return _sigmoid(x)
     raise ValueError(f"unknown activation base {base!r}")
 
 
@@ -47,7 +52,7 @@ def _phi_prime(base: str, x):
         t = np.tanh(x)
         return 1.0 - t * t
     if base == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-x))
+        s = _sigmoid(x)
         return s * (1.0 - s)
     raise ValueError(f"unknown activation base {base!r}")
 

@@ -1,13 +1,13 @@
 """Verification oracle: function-preservation checking plus filter
 occupancy and parameter-scale statistics.
 
-Preservation is checked pointwise on random Gaussian inputs.  When the
-child's filters have grown structural support relative to the parent, a
-border of the corresponding width is cropped before comparing, since
-composed convolutions only match a single convolution away from the
-zero-padded image edge.  Structural support ignores zero outer rings, so
-kernel-size morphs (zero-ring growth) and practical depth morphs with a
-zero-padded factor are credited as exact.
+Preservation is checked pointwise on random Gaussian inputs.  Composed
+convolutions only match a single convolution away from the image edge,
+because each inner conv reads a zero-padded intermediate blob, so a border
+of the width that padding can reach is cropped before comparing.
+Structural support ignores zero outer rings, so kernel-size morphs
+(zero-ring growth) and practical depth morphs whose shrunk factor is 1x1
+are credited as exact.
 """
 
 from dataclasses import dataclass
@@ -37,16 +37,6 @@ def support_radius(f) -> int:
     return 0
 
 
-def _boundary_score(layers) -> int:
-    score = 0
-    for layer in layers:
-        if isinstance(layer, ConvLayer):
-            score += support_radius(layer.weights)
-        elif isinstance(layer, ParallelLayer):
-            score += max(_boundary_score(path) for path in layer.paths)
-    return score
-
-
 def _layers_equal(a, b) -> bool:
     if type(a) is not type(b):
         return False
@@ -64,25 +54,57 @@ def _layers_equal(a, b) -> bool:
     return a == b
 
 
+def _padding_error(layers, support=0):
+    """Return (border, support) for ``layers`` reading a blob of upstream
+    support radius ``support``: the border width on which they differ from
+    their composed single filter, and the support radius of their output.
+
+    A conv that reads a blob produced inside ``layers`` with non-zero
+    support sees zeros past the image edge where the composed filter sees
+    that blob's (non-zero) values, so it seeds an error of its own support
+    radius; a conv reading an erroneous blob spreads the error by the same
+    radius.  Error implies support, so one condition covers both.
+    """
+    border = 0
+    for layer in layers:
+        if isinstance(layer, ConvLayer):
+            r = support_radius(layer.weights)
+            if support > 0:
+                border += r
+            support += r
+        elif isinstance(layer, ParallelLayer):
+            paths = [_padding_error(path, support) for path in layer.paths]
+            border += max(b for b, _ in paths)
+            support = max(s for _, s in paths)
+    return border, support
+
+
 def crop_border_for(parent: NetworkDef, child: NetworkDef) -> int:
     """Width of the image border on which parent and child may disagree.
 
-    The nets are aligned from the tail; layers the morph left untouched
-    are identical there.  Any support growth in the differing head seeds
-    a boundary error of that width, which each downstream conv layer then
-    spreads further by its own support radius.  Zero head growth (width
-    and kernel-size morphs, depth morphs with a kernel-1 upper factor)
-    means the morph is exact everywhere.
+    The nets are aligned from both ends; the layers the morph left
+    untouched are identical there, and in between lies the changed block.
+    Inside that block, every conv that reads an intermediate blob with
+    non-zero upstream support sees zero padding where the parent's filter
+    sees data, and adds its support radius to the border (the parent
+    block's own such error is shared and subtracted).  Each conv of the
+    untouched tail then spreads the border further by its support radius.
+    Width, kernel-size and depth morphs whose lower or upper factor is 1x1
+    add nothing, so they are exact everywhere.
     """
     pa, ch = list(parent.layers), list(child.layers)
     tail = []
     while pa and ch and _layers_equal(pa[-1], ch[-1]):
         tail.append(pa.pop())
         ch.pop()
-    growth = _boundary_score(ch) - _boundary_score(pa)
-    if growth <= 0:
+    head = 0
+    while head < min(len(pa), len(ch)) and _layers_equal(pa[head], ch[head]):
+        head += 1
+    block, support = _padding_error(ch[head:])
+    block -= _padding_error(pa[head:])[0]
+    if block <= 0:
         return 0
-    return growth + _boundary_score(tail)
+    return block + _padding_error(tail, support)[0]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from netmorph import load
+from netmorph import DepthMorphRequest, insert_depth, load, morph_general, morph_practical, occupancy, serialize
 from netmorph.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 from test_train import write_idx_pair
@@ -114,6 +114,34 @@ class TestMorphVerify:
         )
         assert code == EXIT_INFEASIBLE
         assert "error=" in stderr
+
+    def test_layer_out_of_range_exits_2(self, parent_file, tmp_path, capsys):
+        code, _, stderr = run(
+            capsys, "morph", "-i", str(parent_file), "-o", str(tmp_path / "x.nmph"),
+            "--op", "width", "--layer", "99", "--width", "12",
+        )
+        assert code == EXIT_USAGE
+        assert "error=conv layer 99 out of range" in stderr
+
+    @pytest.mark.parametrize("alg", ["practical", "general"])
+    def test_depth_morph_matches_insert_depth(self, alg, parent_file, tmp_path, capsys):
+        child_file = tmp_path / "child.nmph"
+        code, stdout, _ = run(
+            capsys, "morph", "-i", str(parent_file), "-o", str(child_file), "--alg", alg,
+            "--op", "depth", "--layer", "1", "--cl", "16", "--k1", "3", "--k2", "3", "--seed", "7",
+        )
+        assert code == EXIT_OK
+        parent = load(parent_file)
+        raw = parent.conv_indices()[1]
+        req = DepthMorphRequest(layer_index=raw, c_l=16, k1=3, k2=3, seed=7)
+        outcome = {"practical": morph_practical, "general": morph_general}[alg](parent.layers[raw].weights, req)
+        occ = occupancy(np.concatenate([outcome.f_lo.reshape(-1), outcome.f_hi.reshape(-1)]).reshape(-1, 1, 1, 1))
+        assert stdout.splitlines() == [
+            f"op=depth layer=1 residual={outcome.residual:.3e} shrunk_kernel={outcome.shrunk_kernel}",
+            f"occupancy={occ.fraction:.6f}",
+            f"written={child_file}",
+        ]
+        assert child_file.read_bytes() == serialize(insert_depth(parent, req, algorithm=alg))
 
     def test_verify_unrelated_nets_exits_1(self, tmp_path, capsys):
         a, b = tmp_path / "a.nmph", tmp_path / "b.nmph"

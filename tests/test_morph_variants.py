@@ -192,6 +192,25 @@ class TestMorphSequential:
         with pytest.raises(InfeasibleMorphError):
             morph_sequential(g, widths=[1, 1], kernels=[1, 3, 1], seed=0)
 
+    def test_paper_width_chain_composes_to_target(self):
+        rng = make_rng(74)
+        g = rng.standard_normal((32, 32, 3, 3))
+        factors = morph_sequential(g, widths=[64, 64], kernels=[3, 3, 1], seed=0)
+        comp = factors[0]
+        for f in factors[1:]:
+            comp = compose_filters(comp, f)
+        assert [f.shape for f in factors] == [(64, 32, 3, 3), (64, 64, 3, 3), (32, 64, 1, 1)]
+        err = np.linalg.norm(comp - pad_filter(g, 5)) / np.linalg.norm(g)
+        assert err <= 1e-8
+
+    def test_infeasible_middle_peel_is_named(self):
+        # peel 0 expands (32 hidden channels); peel 1 must squeeze the
+        # (4, 32, 3, 3) remainder through a single channel
+        rng = make_rng(75)
+        g = rng.standard_normal((4, 3, 3, 3))
+        with pytest.raises(InfeasibleMorphError, match="peel 1"):
+            morph_sequential(g, widths=[32, 1], kernels=[3, 3, 1], seed=0)
+
     def test_width_count_validated(self):
         with pytest.raises(ShapeError):
             morph_sequential(np.zeros((1, 1, 1, 1)), widths=[1, 1], kernels=[1, 1], seed=0)
@@ -244,6 +263,21 @@ class TestMorphStacked:
         # the deep path carries an identity-parameter activation
         deep = child.layers[0].paths[1]
         assert any(isinstance(l, PActLayer) and l.a == 1.0 for l in deep)
+
+    def test_three_factor_path_preserves(self):
+        parent = _two_conv_net(96, hw=10)
+        req = SubnetMorphRequest(
+            layer_index=0,
+            path_specs=[[(3, 4)], [(3, 8), (3, 8), (1, 4)]],
+            split_weights=[0.5, 0.5],
+            seed=3,
+        )
+        child = morph_stacked(parent, req)
+        deep = child.layers[0].paths[1]
+        assert [l.weights.shape for l in deep if not isinstance(l, PActLayer)] == [
+            (8, 2, 3, 3), (8, 8, 3, 3), (4, 8, 1, 1)
+        ]
+        assert check_preservation(parent, child, n_samples=10, tol=1e-8).pass_
 
     def test_bias_kept_once(self):
         parent = _two_conv_net(93)

@@ -37,6 +37,14 @@ class TestPActEval:
         phi = {"relu": np.maximum(x, 0), "tanh": np.tanh(x), "sigmoid": 1 / (1 + np.exp(-x))}[base]
         np.testing.assert_allclose(pact_eval(base, 0.0, x), phi, atol=0)
 
+    def test_sigmoid_saturates_without_overflow(self):
+        x = np.array([-1000.0, 1000.0])
+        with np.errstate(over="raise"):
+            np.testing.assert_array_equal(pact_eval("sigmoid", 0.0, x), [0.0, 1.0])
+            d_dx, d_da = pact_grad("sigmoid", 0.0, x)
+        np.testing.assert_array_equal(d_dx, [0.0, 0.0])
+        np.testing.assert_array_equal(d_da, x - [0.0, 1.0])
+
     def test_a_out_of_range_raises(self):
         with pytest.raises(ValueError):
             pact_eval("relu", 1.5, 0.0)

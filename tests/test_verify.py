@@ -8,11 +8,15 @@ from netmorph import (
     NetworkDef,
     PActLayer,
     ShapeError,
+    build_network,
     check_preservation,
+    expand_kernel,
+    forward,
     identity_filter,
     insert_depth,
     make_rng,
     occupancy,
+    parse_arch,
     same_pad_conv,
 )
 from netmorph.verify import crop_border_for, param_stats, support_radius
@@ -86,6 +90,15 @@ class TestCheckPreservation:
         assert "max_abs_dev=" in text and "pass=true" in text and "crop_border=0" in text
 
 
+def _depth_3x3_pair(seed=0):
+    """A sigmoid net whose middle 5x5 conv is depth-morphed into two 3x3
+    convs, ahead of a 3x3 conv and a zero-ringed 5x5 conv."""
+    parent = build_network(parse_arch("(5:8)(5:8)(3:4)(3:8)"), (3, 16, 16), seed=seed, base="sigmoid")
+    parent = expand_kernel(parent, parent.conv_indices()[-1], 5)
+    child = insert_depth(parent, DepthMorphRequest(parent.conv_indices()[1], c_l=24, k1=3, k2=3, seed=seed))
+    return parent, child
+
+
 class TestCropBorder:
     def test_identical_nets_no_crop(self):
         assert crop_border_for(_net(110), _net(110)) == 0
@@ -98,6 +111,32 @@ class TestCropBorder:
         border = crop_border_for(parent, child)
         # head growth from the composed 3+3 pair, spread by the trailing 3x3 conv
         assert 1 <= border <= 3
+
+    def test_intermediate_zero_padding_is_cropped(self):
+        # 5x5 -> 3x3 o 3x3 grows no support, yet the upper 3x3 reads a
+        # zero-padded blob: 1 pixel, spread by 2 more in the tail
+        parent, child = _depth_3x3_pair(113)
+        rng = make_rng(113)
+        dev = np.zeros(parent.input_shape[1:])
+        for _ in range(3):
+            x = rng.standard_normal(parent.input_shape)
+            dev = np.maximum(dev, np.abs(forward(parent, x) - forward(child, x)).max(axis=0))
+        h = dev.shape[0]
+        disagree = min(b for b in range(h // 2) if dev[b : h - b, b : h - b].max() <= 1e-8)
+        assert disagree == 3
+        report = check_preservation(parent, child, n_samples=10, tol=1e-8)
+        assert report.crop_border >= disagree and not report.exact_mode
+        assert report.pass_
+
+    def test_intermediate_padding_child_with_perturbed_weight_fails(self):
+        parent, child = _depth_3x3_pair(114)
+        layers = list(child.layers)
+        i = child.conv_indices()[1]
+        w = layers[i].weights.copy()
+        w[0, 0, 1, 1] += 0.1
+        layers[i] = same_pad_conv(w, bias=layers[i].bias)
+        report = check_preservation(parent, child.with_layers(layers), n_samples=5, tol=1e-8)
+        assert report.crop_border == 3 and not report.pass_
 
 
 class TestOccupancy:
