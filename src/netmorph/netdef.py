@@ -1,4 +1,4 @@
-"""Network intermediate representation and forward execution.
+"""Network intermediate representation and the layer engine.
 
 A network is an ordered chain of layers over (c, h, w) blobs:
 
@@ -13,6 +13,12 @@ A network is an ordered chain of layers over (c, h, w) blobs:
 
 Layers are immutable after construction; every transformation builds a
 new network.
+
+Every layer type runs batched (n, c, h, w) arrays through one engine:
+``params()`` gives its parameter dict p, ``forward(x, p)`` returns the
+output and a cache, and ``backward(cache, dy, p)`` maps the loss gradient
+at the output to the gradient at the input plus a gradient dict keyed
+like p.  ``forward``, the trainer and the verification oracle all use it.
 """
 
 from dataclasses import dataclass, field, replace
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_ops import as_blob, as_filter, conv_mc
+from .tensor_ops import as_blob, as_filter, conv_batch, conv_batch_grads
 
 BASES = ("relu", "tanh", "sigmoid")
 
@@ -120,9 +126,18 @@ class ConvLayer:
     def kernel(self):
         return self.weights.shape[2]
 
-    def apply(self, blob):
-        out = conv_mc(blob, self.weights, self.pad)
-        return out + self.bias[:, None, None]
+    def params(self):
+        return {"w": self.weights, "b": self.bias}
+
+    def with_params(self, p):
+        return replace(self, weights=np.array(p["w"]), bias=np.array(p["b"]))
+
+    def forward(self, x, p):
+        return conv_batch(x, p["w"], self.pad) + p["b"][:, None, None], x
+
+    def backward(self, x, dy, p):
+        dx, dw = conv_batch_grads(x, p["w"], self.pad, dy)
+        return dx, {"w": dw, "b": dy.sum(axis=(0, 2, 3))}
 
 
 @dataclass(frozen=True)
@@ -135,13 +150,31 @@ class PActLayer:
             raise ValueError(f"unknown activation base {self.base!r}")
         _check_a(self.a)
 
-    def apply(self, blob):
-        return pact_eval(self.base, self.a, blob)
+    def params(self):
+        return {"a": self.a}
+
+    def with_params(self, p):
+        return replace(self, a=float(p["a"]))
+
+    def forward(self, x, p):
+        return pact_eval(self.base, p["a"], x), x
+
+    def backward(self, x, dy, p):
+        d_dx, d_da = pact_grad(self.base, p["a"], x)
+        return dy * d_dx, {"a": float((d_da * dy).sum())}
+
+
+def _sub_params(p, prefix):
+    return {k[len(prefix) :]: v for k, v in p.items() if k.startswith(prefix)}
 
 
 @dataclass(frozen=True)
 class ParallelLayer:
-    """Parallel paths over the same input, outputs summed channel-wise."""
+    """Parallel paths over the same input, outputs summed channel-wise.
+
+    Its parameter dict is flat: layer j of path i contributes its key
+    ``k`` as ``"i.j.k"``, so nested stacks flatten recursively.
+    """
 
     paths: tuple  # tuple of tuples of layers
 
@@ -151,14 +184,57 @@ class ParallelLayer:
             raise ShapeError("parallel layer needs at least one non-empty path")
         object.__setattr__(self, "paths", paths)
 
-    def apply(self, blob):
-        total = None
-        for path in self.paths:
-            out = blob
-            for layer in path:
-                out = layer.apply(out)
-            total = out if total is None else total + out
-        return total
+    def params(self):
+        return {
+            f"{i}.{j}.{k}": v
+            for i, path in enumerate(self.paths)
+            for j, layer in enumerate(path)
+            for k, v in layer.params().items()
+        }
+
+    def _path_params(self, p):
+        return [[_sub_params(p, f"{i}.{j}.") for j in range(len(path))] for i, path in enumerate(self.paths)]
+
+    def with_params(self, p):
+        return ParallelLayer(
+            paths=[[layer.with_params(q) for layer, q in zip(path, ps)] for path, ps in zip(self.paths, self._path_params(p))]
+        )
+
+    def forward(self, x, p):
+        total, caches = 0.0, []
+        for path, ps in zip(self.paths, self._path_params(p)):
+            out, cache = forward_pass(path, ps, x)
+            total = total + out
+            caches.append(cache)
+        return total, caches
+
+    def backward(self, caches, dy, p):
+        dx, grads = 0.0, {}
+        for i, (path, ps, cache) in enumerate(zip(self.paths, self._path_params(p), caches)):
+            d, path_grads = backward_pass(path, ps, cache, dy)
+            dx = dx + d
+            for j, g in enumerate(path_grads):
+                grads.update({f"{i}.{j}.{k}": v for k, v in g.items()})
+        return dx, grads
+
+
+def forward_pass(layers, params, x):
+    """Run ``layers`` with parameters ``params[i]`` on the batch x (n, c, h, w);
+    returns the output and the per-layer caches ``backward_pass`` needs."""
+    caches = []
+    for layer, p in zip(layers, params):
+        x, cache = layer.forward(x, p)
+        caches.append(cache)
+    return x, caches
+
+
+def backward_pass(layers, params, caches, dy):
+    """Backpropagate dy, the loss gradient at the output of ``forward_pass``, to
+    the gradient at its input and one gradient dict per layer, keyed like params[i]."""
+    grads = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        dy, grads[i] = layers[i].backward(caches[i], dy, params[i])
+    return dy, grads
 
 
 def same_pad_conv(weights, bias=None, fc=False) -> ConvLayer:
@@ -224,7 +300,4 @@ def forward(net: NetworkDef, blob) -> np.ndarray:
     blob = as_blob(blob)
     if blob.shape != net.input_shape:
         raise ShapeError(f"input shape {blob.shape} does not match network input {net.input_shape}")
-    out = blob
-    for layer in net.layers:
-        out = layer.apply(out)
-    return out
+    return forward_pass(net.layers, [l.params() for l in net.layers], blob[None])[0][0]

@@ -24,7 +24,7 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer
 
 MAGIC = b"NMPH\x01"
@@ -136,7 +136,7 @@ def deserialize(data: bytes) -> NetworkDef:
     try:
         layers = [_layer_from_manifest(e, reader) for e in manifest["layers"]]
         return NetworkDef(input_shape=tuple(manifest["input_shape"]), layers=layers)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise FormatError(f"malformed manifest: {exc}") from exc
 
 

@@ -21,6 +21,8 @@ __all__ = [
     "as_blob",
     "as_filter",
     "conv_mc",
+    "conv_batch",
+    "conv_batch_grads",
     "compose_filters",
     "pad_filter",
     "crop_filter",
@@ -54,7 +56,8 @@ def conv_mc(x, f, pad: int = 0) -> np.ndarray:
 
     out[co, y, x] = sum_ci sum_{u,v} in[ci, y+u-pad, x+v-pad] * f[co, ci, u, v]
     with out-of-range input treated as zero.  Output spatial size is
-    (h + 2*pad - k + 1, w + 2*pad - k + 1).
+    (h + 2*pad - k + 1, w + 2*pad - k + 1).  This is the checked
+    single-blob entry to ``conv_batch``.
     """
     x = as_blob(x)
     f = as_filter(f)
@@ -70,10 +73,42 @@ def conv_mc(x, f, pad: int = 0) -> np.ndarray:
     ow = w + 2 * pad - k + 1
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"non-positive output size {oh}x{ow} for input {h}x{w}, kernel {k}, pad {pad}")
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    # windows: (c_in, oh, ow, k, k)
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))
-    return np.tensordot(f, win, axes=([1, 2, 3], [0, 3, 4]))
+    return conv_batch(x[None], f, pad)[0]
+
+
+def _columns(x, k: int, pad: int) -> np.ndarray:
+    """Channel-major columns of the batch x: the (c*k*k, n*oh*ow) matrix of its
+    zero-padded k x k windows, rows ordered like a filter's (c_in, k, k) axes."""
+    c = x.shape[1]
+    if k == 1 and pad == 0:
+        return x.transpose(1, 0, 2, 3).reshape(c, -1)  # a view when h = w = 1 or n = 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (n, c, oh, ow, k, k)
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, -1)
+
+
+def conv_batch(x, f, pad: int) -> np.ndarray:
+    """``conv_mc`` over a batch x of shape (n, c, h, w), without input checks.
+
+    One matrix product of the filter with the channel-major columns; for a
+    1x1 kernel that is a plain matrix product over the channel axis.
+    """
+    n, _, h, w = x.shape
+    c_out, k = f.shape[0], f.shape[2]
+    out = f.reshape(c_out, -1) @ _columns(x, k, pad)
+    return out.reshape(c_out, n, h + 2 * pad - k + 1, w + 2 * pad - k + 1).transpose(1, 0, 2, 3)
+
+
+def conv_batch_grads(x, f, pad: int, dy):
+    """Gradients (dx, df) of sum(dy * conv_batch(x, f, pad)), for pad <= k-1.
+
+    dx is the adjoint convolution: ``conv_batch`` of dy with the filter
+    flipped in space and transposed in channels, padded by k-1-pad.
+    """
+    c_out, k = f.shape[0], f.shape[2]
+    df = dy.transpose(1, 0, 2, 3).reshape(c_out, -1) @ _columns(x, k, pad).T
+    dx = conv_batch(dy, f[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - pad)
+    return dx, df.reshape(f.shape)
 
 
 def compose_filters(f_lo, f_hi) -> np.ndarray:

@@ -1,22 +1,23 @@
 """Desk-scale supervised training: MNIST IDX ingestion, softmax
-cross-entropy, backpropagation through conv / fully-connected /
-parametric-activation layers (including the activation parameter), and
-minibatch SGD with momentum.
+cross-entropy, backpropagation through every layer type (conv,
+fully-connected, parametric activation including its parameter, and
+stacked parallel paths), and minibatch SGD with momentum.
 
-Training operates on batched blobs (n, c, h, w).  The kernel-1 case on
-(c, 1, 1) blobs reduces to plain matrix products, which keeps the MNIST
-experiments fast without a separate dense-layer code path.
+Training operates on batched blobs (n, c, h, w) through the layer engine
+of ``netdef``.  The kernel-1 case on (c, 1, 1) blobs reduces to plain
+matrix products, which keeps the MNIST experiments fast without a
+separate dense-layer code path.
 """
 
+import copy
 import gzip
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, ShapeError
-from .netdef import ConvLayer, NetworkDef, PActLayer, _phi, _phi_prime, pact_eval
+from .netdef import NetworkDef, backward_pass, forward_pass
 from .rng import make_rng
 
 IMAGES_MAGIC = 0x00000803
@@ -102,115 +103,31 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
 # batched forward / backward
 
 
-def _im2col(x, k, pad):
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (n, c, oh, ow, k, k)
-    oh, ow = win.shape[2], win.shape[3]
-    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * k * k)
-    return col, oh, ow
-
-
-def _col2im(col, x_shape, k, pad, oh, ow):
-    n, c, h, w = x_shape
-    col = col.reshape(n, oh, ow, c, k, k).transpose(0, 3, 4, 5, 1, 2)
-    img = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    for u in range(k):
-        for v in range(k):
-            img[:, :, u : u + oh, v : v + ow] += col[:, :, u, v]
-    return img[:, :, pad : pad + h, pad : pad + w]
-
-
-def _conv_forward(w, b, pad, x):
-    n = x.shape[0]
-    c_out, _, k, _ = w.shape
-    if k == 1 and x.shape[2] == 1 and x.shape[3] == 1:
-        col = x.reshape(n, -1)
-        out = col @ w.reshape(c_out, -1).T + b
-        return out.reshape(n, c_out, 1, 1), (col, 1, 1)
-    col, oh, ow = _im2col(x, k, pad)
-    out = col @ w.reshape(c_out, -1).T + b
-    return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2), (col, oh, ow)
-
-
-def _conv_backward(w, pad, x_shape, cache, d_out):
-    col, oh, ow = cache
-    n = d_out.shape[0]
-    c_out, _, k, _ = w.shape
-    if oh == 1 and ow == 1 and k == 1:
-        d_mat = d_out.reshape(n, c_out)
-    else:
-        d_mat = d_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
-    d_w = (d_mat.T @ col).reshape(w.shape)
-    d_b = d_mat.sum(axis=0)
-    d_col = d_mat @ w.reshape(c_out, -1)
-    if oh == 1 and ow == 1 and k == 1:
-        d_x = d_col.reshape(x_shape)
-    else:
-        d_x = _col2im(d_col, x_shape, k, pad, oh, ow)
-    return d_x, d_w, d_b
-
-
 def forward_batch(net: NetworkDef, x) -> np.ndarray:
     """Batched forward pass; x has shape (n,) + net.input_shape."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ShapeError(f"batch item shape {x.shape[1:]} does not match network input {net.input_shape}")
-    for layer in net.layers:
-        if isinstance(layer, ConvLayer):
-            x, _ = _conv_forward(layer.weights, layer.bias, layer.pad, x)
-        elif isinstance(layer, PActLayer):
-            x = pact_eval(layer.base, layer.a, x)
-        else:
-            x = np.stack([forward_batch_path(path, x) for path in layer.paths]).sum(axis=0)
-    return x
-
-
-def forward_batch_path(path, x):
-    for layer in path:
-        if isinstance(layer, ConvLayer):
-            x, _ = _conv_forward(layer.weights, layer.bias, layer.pad, x)
-        elif isinstance(layer, PActLayer):
-            x = pact_eval(layer.base, layer.a, x)
-        else:
-            raise ShapeError("nested parallel layers are not supported in training")
-    return x
+    return forward_pass(net.layers, [l.params() for l in net.layers], x)[0]
 
 
 class _TrainState:
-    """Mutable parameter copies plus momentum buffers for one network."""
+    """Mutable parameter copies plus momentum buffers for one network.
+
+    ``params[i]`` is a copy of ``net.layers[i].params()``: writable arrays
+    for conv weights and biases, a float for each activation parameter.
+    """
 
     def __init__(self, net: NetworkDef):
-        for layer in net.layers:
-            if not isinstance(layer, (ConvLayer, PActLayer)):
-                raise ShapeError("training supports plain conv/activation chains only")
         self.net = net
-        self.params = []
-        for layer in net.layers:
-            if isinstance(layer, ConvLayer):
-                self.params.append({"w": layer.weights.copy(), "b": layer.bias.copy()})
-            else:
-                self.params.append({"a": float(layer.a)})
-        self.velocity = [
-            {k: np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0 for k, v in p.items()}
-            for p in self.params
-        ]
+        self.params = [copy.deepcopy(layer.params()) for layer in net.layers]
+        self.velocity = [dict.fromkeys(p, 0.0) for p in self.params]
 
     def forward_backward(self, x, labels):
         """Cross-entropy loss and parameter gradients for one minibatch."""
         n = x.shape[0]
-        acts = [x]
-        caches = []
-        for layer, p in zip(self.net.layers, self.params):
-            if isinstance(layer, ConvLayer):
-                x, cache = _conv_forward(p["w"], p["b"], layer.pad, x)
-                caches.append(cache)
-            else:
-                caches.append(None)
-                x = pact_eval(layer.base, p["a"], x)
-            acts.append(x)
-
-        logits = x.reshape(n, -1)
+        out, caches = forward_pass(self.net.layers, self.params, x)
+        logits = out.reshape(n, -1)
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
         probs = exp / exp.sum(axis=1, keepdims=True)
@@ -218,42 +135,22 @@ class _TrainState:
 
         d = probs.copy()
         d[np.arange(n), labels] -= 1.0
-        d = (d / n).reshape(x.shape)
-
-        grads = [None] * len(self.params)
-        for i in reversed(range(len(self.net.layers))):
-            layer = self.net.layers[i]
-            p = self.params[i]
-            if isinstance(layer, ConvLayer):
-                d, d_w, d_b = _conv_backward(p["w"], layer.pad, acts[i].shape, caches[i], d)
-                grads[i] = {"w": d_w, "b": d_b}
-            else:
-                xin = acts[i]
-                d_dx = (1.0 - p["a"]) * _phi_prime(layer.base, xin) + p["a"]
-                d_da = float(((xin - _phi(layer.base, xin)) * d).sum())
-                grads[i] = {"a": d_da}
-                d = d * d_dx
+        _, grads = backward_pass(self.net.layers, self.params, caches, (d / n).reshape(out.shape))
         return loss, grads
 
     def sgd_step(self, grads, cfg: TrainConfig):
         for p, v, g in zip(self.params, self.velocity, grads):
-            if "w" in p:
-                v["w"] = cfg.momentum * v["w"] - cfg.learning_rate * g["w"]
-                v["b"] = cfg.momentum * v["b"] - cfg.learning_rate * g["b"]
-                p["w"] += v["w"]
-                p["b"] += v["b"]
-            else:
-                v["a"] = cfg.momentum * v["a"] - cfg.a_learning_rate * g["a"]
-                p["a"] = float(np.clip(p["a"] + v["a"], 0.0, 1.0))
+            for key in p:
+                # activation parameters are keyed "a", or "<path>.<layer>.a" in a stack
+                is_a = key.endswith("a")
+                v[key] = cfg.momentum * v[key] - (cfg.a_learning_rate if is_a else cfg.learning_rate) * g[key]
+                if is_a:
+                    p[key] = float(np.clip(p[key] + v[key], 0.0, 1.0))
+                else:
+                    p[key] += v[key]
 
     def to_network(self) -> NetworkDef:
-        layers = []
-        for layer, p in zip(self.net.layers, self.params):
-            if isinstance(layer, ConvLayer):
-                layers.append(ConvLayer(weights=p["w"].copy(), bias=p["b"].copy(), pad=layer.pad, fc=layer.fc))
-            else:
-                layers.append(PActLayer(base=layer.base, a=p["a"]))
-        return self.net.with_layers(layers)
+        return self.net.with_layers(layer.with_params(p) for layer, p in zip(self.net.layers, self.params))
 
 
 def _shaped_images(net: NetworkDef, images):
@@ -289,14 +186,7 @@ def train_sgd(net: NetworkDef, dataset: Dataset, cfg: TrainConfig):
 
 def evaluate(net: NetworkDef, dataset: Dataset, batch_size: int = 256) -> float:
     """Fraction of argmax-correct predictions."""
-    x_all = _shaped_images(net, dataset.images)
-    y_all = np.asarray(dataset.labels)
-    correct = 0
-    for start in range(0, len(dataset), batch_size):
-        out = forward_batch(net, x_all[start : start + batch_size])
-        pred = out.reshape(out.shape[0], -1).argmax(axis=1)
-        correct += int((pred == y_all[start : start + batch_size]).sum())
-    return correct / len(dataset)
+    return float((predictions(net, dataset, batch_size) == np.asarray(dataset.labels)).mean())
 
 
 def predictions(net: NetworkDef, dataset: Dataset, batch_size: int = 256) -> np.ndarray:

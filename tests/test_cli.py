@@ -6,6 +6,7 @@ import pytest
 from netmorph import DepthMorphRequest, insert_depth, load, morph_general, morph_practical, occupancy, serialize
 from netmorph.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
+from test_serialize import INVALID_LAYERS, _sample_net, rewrite_manifest
 from test_train import write_idx_pair
 
 
@@ -47,6 +48,14 @@ class TestParseInspect:
     def test_inspect_missing_file_exits_2(self, capsys, tmp_path):
         code, *_ = run(capsys, "inspect", "-i", str(tmp_path / "missing.nmph"))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("edit", INVALID_LAYERS.values(), ids=INVALID_LAYERS.keys())
+    def test_inspect_invalid_layers_exits_2(self, edit, tmp_path, capsys):
+        path = tmp_path / "bad.nmph"
+        path.write_bytes(rewrite_manifest(serialize(_sample_net()), edit))
+        code, _, stderr = run(capsys, "inspect", "-i", str(path))
+        assert code == EXIT_USAGE
+        assert "malformed manifest" in stderr
 
 
 class TestMorphVerify:

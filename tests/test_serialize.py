@@ -1,5 +1,6 @@
 """Weight-file format: round trips, canonical bytes, corruption handling."""
 
+import json
 import struct
 import zlib
 
@@ -105,6 +106,34 @@ def test_truncated_tensor_payload_detected():
     body = truncated + struct.pack("<I", zlib.crc32(truncated))
     with pytest.raises(FormatError):
         deserialize(body)
+
+
+def rewrite_manifest(data, edit):
+    """Weight-file bytes with ``edit`` applied to the manifest and a valid CRC-32."""
+    (mlen,) = struct.unpack("<I", data[5:9])
+    manifest = json.loads(data[9 : 9 + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = data[:5] + struct.pack("<I", len(mbytes)) + mbytes + data[9 + mlen : -4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+INVALID_LAYERS = {
+    "pad0-kernel3": lambda m: m["layers"][0].update(pad=0),
+    "input-channels-mismatch": lambda m: m.update(input_shape=[5, 6, 6]),
+}
+
+
+@pytest.mark.parametrize("edit", INVALID_LAYERS.values(), ids=INVALID_LAYERS.keys())
+def test_invalid_layers_with_valid_checksum_rejected(edit):
+    data = rewrite_manifest(serialize(_sample_net()), edit)
+    with pytest.raises(FormatError, match="malformed manifest"):
+        deserialize(data)
+
+
+def test_rewrite_manifest_without_edit_is_identity():
+    data = serialize(_sample_net())
+    assert rewrite_manifest(data, lambda m: None) == data
 
 
 def test_short_file_rejected():

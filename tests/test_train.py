@@ -11,13 +11,19 @@ from netmorph import (
     FormatError,
     NetworkDef,
     PActLayer,
+    ParallelLayer,
     ShapeError,
+    SubnetMorphRequest,
     TrainConfig,
+    check_preservation,
+    deserialize,
     evaluate,
     load_mnist_idx,
     make_rng,
+    morph_stacked,
     predictions,
     same_pad_conv,
+    serialize,
     train_sgd,
 )
 from netmorph.train import _TrainState, forward_batch
@@ -50,6 +56,43 @@ def micro_net(seed=0):
             same_pad_conv(rng.standard_normal((5, 6, 1, 1)) * 0.5, bias=rng.standard_normal(5) * 0.1, fc=True),
             PActLayer(base="tanh", a=0.7),
             same_pad_conv(rng.standard_normal((3, 5, 1, 1)) * 0.5, bias=rng.standard_normal(3) * 0.1, fc=True),
+        ],
+    )
+
+
+def _random_conv(rng, c_out, c_in, k):
+    return same_pad_conv(rng.standard_normal((c_out, c_in, k, k)) * 0.4, bias=rng.standard_normal(c_out) * 0.1)
+
+
+def spatial_net(seed=0):
+    """k=3 convs on a (2, 5, 5) blob, a PAct with 0 < a < 1, and a two-path
+    stack whose second path is two convs deep."""
+    rng = make_rng(seed)
+    return NetworkDef(
+        input_shape=(2, 5, 5),
+        layers=[
+            _random_conv(rng, 3, 2, 3),
+            PActLayer(base="tanh", a=0.4),
+            ParallelLayer(
+                paths=(
+                    (_random_conv(rng, 3, 3, 3),),
+                    (_random_conv(rng, 4, 3, 1), PActLayer(base="sigmoid", a=0.6), _random_conv(rng, 3, 4, 3)),
+                )
+            ),
+        ],
+    )
+
+
+def nested_parallel_net(seed=0):
+    rng = make_rng(seed)
+    inner = ParallelLayer(paths=((_random_conv(rng, 4, 4, 3),), (_random_conv(rng, 2, 4, 1), _random_conv(rng, 4, 2, 3))))
+    return NetworkDef(
+        input_shape=(3, 6, 6),
+        layers=[
+            _random_conv(rng, 4, 3, 3),
+            PActLayer(base="tanh", a=0.5),
+            ParallelLayer(paths=((_random_conv(rng, 4, 4, 1),), (inner, PActLayer(base="sigmoid", a=0.3)))),
+            _random_conv(rng, 2, 4, 1),
         ],
     )
 
@@ -146,6 +189,36 @@ class TestGradients:
                         checked += 1
         assert checked >= 20
 
+    def test_spatial_convs_and_stack_match_finite_differences(self):
+        state = _TrainState(spatial_net(12))
+        rng = make_rng(13)
+        x = rng.standard_normal((6, 2, 5, 5))
+        y = rng.integers(0, 3 * 5 * 5, size=6)
+        _, grads = state.forward_backward(x, y)
+        eps = 1e-6
+
+        def central_difference(set_value, orig):
+            set_value(orig + eps)
+            up, _ = state.forward_backward(x, y)
+            set_value(orig - eps)
+            down, _ = state.forward_backward(x, y)
+            set_value(orig)
+            return (up - down) / (2 * eps)
+
+        checked = []
+        for i, p in enumerate(state.params):
+            for key, value in p.items():
+                if isinstance(value, float):
+                    fd = central_difference(lambda v: p.__setitem__(key, v), value)
+                    assert grads[i][key] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+                else:
+                    flat, gflat = value.reshape(-1), grads[i][key].reshape(-1)
+                    for j in range(flat.size):
+                        fd = central_difference(lambda v: flat.__setitem__(j, v), flat[j])
+                        assert gflat[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+                checked.append(key)
+        assert checked == ["w", "b", "a", "0.0.w", "0.0.b", "1.0.w", "1.0.b", "1.1.a", "1.2.w", "1.2.b"]
+
 
 class TestTrainSgd:
     def _toy_separable(self, n=100, seed=3):
@@ -197,6 +270,24 @@ class TestTrainSgd:
         originals = [l.a for l in micro_net(8).layers if isinstance(l, PActLayer)]
         assert any(l.a != o for l, o in zip(acts, originals))
 
+    def test_stacked_child_trains(self):
+        rng = make_rng(14)
+        parent = NetworkDef(
+            input_shape=(2, 4, 4),
+            layers=[_random_conv(rng, 4, 2, 3), PActLayer(base="relu", a=0.0), _random_conv(rng, 3, 4, 3)],
+        )
+        child = morph_stacked(parent, SubnetMorphRequest(0, [[(3, 4)], [(3, 6), (1, 4)]], [0.5, 0.5], seed=1))
+        assert isinstance(child.layers[0], ParallelLayer)
+        assert check_preservation(parent, child, n_samples=4, tol=1e-8).pass_
+        ds = Dataset(images=rng.standard_normal((24, 2, 4, 4)), labels=rng.integers(0, 3 * 4 * 4, size=24))
+        cfg = TrainConfig(learning_rate=0.05, a_learning_rate=0.05, batch_size=8, epochs=1, seed=0)
+        trained, trace = train_sgd(child, ds, cfg)
+        assert len(trace) == 1 and np.isfinite(trace[0])
+        stack, trained_stack = child.layers[0], trained.layers[0]
+        assert not np.array_equal(stack.paths[1][0].weights, trained_stack.paths[1][0].weights)
+        blob = serialize(trained)
+        assert serialize(deserialize(blob)) == blob
+
 
 class TestEvaluate:
     def test_constant_predictor_is_chance_level(self):
@@ -212,10 +303,11 @@ class TestEvaluate:
         assert evaluate(net, ds) == pytest.approx(0.10)
         assert (predictions(net, ds) == 3).all()
 
-    def test_batched_forward_matches_single(self):
-        net = micro_net(10)
+    @pytest.mark.parametrize("make_net", [micro_net, nested_parallel_net], ids=["chain", "nested-parallel"])
+    def test_batched_forward_matches_single(self, make_net):
+        net = make_net(10)
         rng = make_rng(11)
-        x = rng.standard_normal((5, 4, 1, 1))
+        x = rng.standard_normal((5,) + net.input_shape)
         from netmorph import forward
 
         batched = forward_batch(net, x)
