@@ -6,6 +6,7 @@ key=value text so it can be asserted on without a parser.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -62,7 +63,13 @@ def _parse_paths(text):
         chunk = chunk.strip()
         if "@" in chunk:
             body, w = chunk.rsplit("@", 1)
-            weights.append(float(w))
+            try:
+                weight = float(w)
+            except ValueError:
+                weight = math.nan
+            if not math.isfinite(weight):
+                raise ArchParseError(f"path weight {w!r} is not a finite number")
+            weights.append(weight)
         else:
             body, w = chunk, None
             weights.append(None)

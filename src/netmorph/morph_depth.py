@@ -73,17 +73,15 @@ def _check_parity(k: int, k1: int, k2: int):
         raise ShapeError(f"effective kernel {kt} and parent kernel {k} have mismatched parity")
 
 
-def _init_factors(g, c_l, k1, k2, rng):
-    c_lp1, c_lm1 = g.shape[0], g.shape[1]
+def _alternate(g, c_l, k1, k2, rng, max_iter, tol):
+    """Alternating least-squares on the two factors of g zero-padded to
+    k1+k2-1, starting from a random lower factor (the first half-step
+    solves the upper one from it).  Returns the factors, the trace of
+    relative residuals after each half-step, the iteration count and the
+    final relative residual."""
+    g_tilde = pad_filter(g, k1 + k2 - 1)
+    c_lm1 = g.shape[1]
     f_lo = rng.standard_normal((c_l, c_lm1, k1, k1)) / np.sqrt(c_lm1 * k1 * k1)
-    f_hi = rng.standard_normal((c_lp1, c_l, k2, k2)) / np.sqrt(c_l * k2 * k2)
-    return f_lo, f_hi
-
-
-def _alternate(g_tilde, f_lo, f_hi, max_iter, tol):
-    """Alternating least-squares on the two factors.  Returns the factors,
-    the trace of relative residuals after each half-step, and the
-    iteration count."""
     norm = np.linalg.norm(g_tilde)
     scale = norm if norm > 0 else 1.0
     trace = []
@@ -126,10 +124,9 @@ def morph_general(g, req: DepthMorphRequest) -> MorphOutcome:
     g = as_filter(g)
     k = g.shape[2]
     _check_parity(k, req.k1, req.k2)
-    rng = make_rng(req.seed)
-    g_tilde = pad_filter(g, req.k1 + req.k2 - 1)
-    f_lo, f_hi = _init_factors(g, req.c_l, req.k1, req.k2, rng)
-    f_lo, f_hi, trace, iterations, rel = _alternate(g_tilde, f_lo, f_hi, req.max_iter, req.tol)
+    f_lo, f_hi, trace, iterations, rel = _alternate(
+        g, req.c_l, req.k1, req.k2, make_rng(req.seed), req.max_iter, req.tol
+    )
     f_lo, f_hi = rebalance(f_lo, f_hi)
     return MorphOutcome(
         f_lo=f_lo, f_hi=f_hi, residual=rel, iterations=iterations,
@@ -146,9 +143,7 @@ def _practical_one_side(g, req, shrink_side, rng):
         k2 = kr if shrink_side == "hi" else req.k2
         if k1 + k2 - 1 < k:
             break
-        g_tilde = pad_filter(g, k1 + k2 - 1)
-        f_lo, f_hi = _init_factors(g, req.c_l, k1, k2, rng)
-        f_lo, f_hi, trace, _, rel = _alternate(g_tilde, f_lo, f_hi, 1, req.tol)
+        f_lo, f_hi, trace, _, rel = _alternate(g, req.c_l, k1, k2, rng, 1, req.tol)
         if rel <= req.tol:
             # pad the shrunk factor back to its requested kernel
             if shrink_side == "hi":

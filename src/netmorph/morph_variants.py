@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InfeasibleMorphError, ShapeError
 from .morph_depth import DEFAULT_TOL, DepthMorphRequest, factor_chain, morph_practical
-from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer, phi_at_zero, same_pad_conv
+from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer, pact_eval, same_pad_conv
 from .rng import make_rng
 from .tensor_ops import as_filter, pad_filter
 
@@ -23,6 +23,12 @@ class WidthMorphRequest:
     layer_index: int
     new_width: int
     seed: int = 0
+
+
+def _check_split_weights(weights):
+    # "not <=" also rejects a NaN sum, which any non-finite weight produces
+    if not abs(sum(weights) - 1.0) <= 1e-12:
+        raise ShapeError(f"split weights must be finite and sum to 1, got {sum(weights)}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,7 @@ class SubnetMorphRequest:
         object.__setattr__(self, "split_weights", tuple(float(w) for w in self.split_weights))
         if len(self.path_specs) != len(self.split_weights):
             raise ShapeError("one split weight per path is required")
-        if abs(sum(self.split_weights) - 1.0) > 1e-12:
-            raise ShapeError(f"split weights must sum to 1, got {sum(self.split_weights)}")
+        _check_split_weights(self.split_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +90,7 @@ def widen(net: NetworkDef, req: WidthMorphRequest) -> NetworkDef:
 
     act_zero = 0.0
     for l in layers[i + 1 : j]:
-        act_zero = (1.0 - l.a) * phi_at_zero(l.base) + l.a * act_zero
+        act_zero = pact_eval(l.base, l.a, act_zero)
 
     w_lo = np.zeros((req.new_width, lo.c_in, lo.kernel, lo.kernel))
     w_lo[:c_l] = lo.weights
@@ -186,8 +191,7 @@ def split_stacked(g, weights):
     """Split a filter into weighted copies summing back to the original."""
     g = as_filter(g)
     weights = [float(w) for w in weights]
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ShapeError(f"split weights must sum to 1, got {sum(weights)}")
+    _check_split_weights(weights)
     return [w * g for w in weights]
 
 

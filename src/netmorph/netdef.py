@@ -83,10 +83,6 @@ def pact_grad(base: str, a: float, x):
     return d_dx, d_da
 
 
-def phi_at_zero(base: str) -> float:
-    return float(_phi(base, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # layers
 

@@ -10,10 +10,17 @@ Conventions used throughout the package:
   deep-learning orientation.  Filter composition below is defined with
   the matching orientation, so stacking two convolutions equals a single
   convolution with the composed filter (up to the image border).
+
+Everything runs on one kernel: ``conv_batch``, a matrix product of a
+filter with the channel-major columns of a batch (``_columns``).  Filter
+composition is that kernel applied to the lower factor's input channels
+as a batch, and the least-squares factor solve uses the same columns,
+transposed, as its system matrix; the lower factor is solved as the
+upper factor of the adjoint (channel-transposed, spatially flipped)
+problem.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -78,13 +85,25 @@ def conv_mc(x, f, pad: int = 0) -> np.ndarray:
 
 def _columns(x, k: int, pad: int) -> np.ndarray:
     """Channel-major columns of the batch x: the (c*k*k, n*oh*ow) matrix of its
-    zero-padded k x k windows, rows ordered like a filter's (c_in, k, k) axes."""
-    c = x.shape[1]
+    zero-padded k x k windows, rows ordered like a filter's (c_in, k, k) axes.
+
+    Each kernel offset copies the in-range part of x straight into its rows.
+    A padded copy of x is never made: for a factor solve's system it is
+    several MiB, and it stayed resident in the heap and raised peak memory.
+    """
+    n, c, h, w = x.shape
     if k == 1 and pad == 0:
         return x.transpose(1, 0, 2, 3).reshape(c, -1)  # a view when h = w = 1 or n = 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (n, c, oh, ow, k, k)
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, -1)
+    oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    cols = np.zeros((c, k, k, n, oh, ow))
+    xt = x.transpose(1, 0, 2, 3)
+    for u in range(k):
+        # output row y reads input row y + u - pad
+        y0, y1 = max(0, pad - u), min(oh, h + pad - u)
+        for v in range(k):
+            x0, x1 = max(0, pad - v), min(ow, w + pad - v)
+            cols[:, u, v, :, y0:y1, x0:x1] = xt[:, :, y0 + u - pad : y1 + u - pad, x0 + v - pad : x1 + v - pad]
+    return cols.reshape(c * k * k, -1)
 
 
 def conv_batch(x, f, pad: int) -> np.ndarray:
@@ -99,15 +118,21 @@ def conv_batch(x, f, pad: int) -> np.ndarray:
     return out.reshape(c_out, n, h + 2 * pad - k + 1, w + 2 * pad - k + 1).transpose(1, 0, 2, 3)
 
 
+def _adjoint(f) -> np.ndarray:
+    """Channel-transposed, spatially flipped filter.  Composition reverses
+    under it: adjoint(compose(a, b)) = compose(adjoint(b), adjoint(a))."""
+    return f.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+
+
 def conv_batch_grads(x, f, pad: int, dy):
     """Gradients (dx, df) of sum(dy * conv_batch(x, f, pad)), for pad <= k-1.
 
-    dx is the adjoint convolution: ``conv_batch`` of dy with the filter
-    flipped in space and transposed in channels, padded by k-1-pad.
+    dx is the adjoint convolution: ``conv_batch`` of dy with the adjoint
+    filter, padded by k-1-pad.
     """
     c_out, k = f.shape[0], f.shape[2]
     df = dy.transpose(1, 0, 2, 3).reshape(c_out, -1) @ _columns(x, k, pad).T
-    dx = conv_batch(dy, f[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - pad)
+    dx = conv_batch(dy, _adjoint(f), k - 1 - pad)
     return dx, df.reshape(f.shape)
 
 
@@ -115,24 +140,18 @@ def compose_filters(f_lo, f_hi) -> np.ndarray:
     """Compose two filters into the single filter equivalent to applying
     ``f_lo`` first and ``f_hi`` second.
 
-    Result shape: (f_hi.c_out, f_lo.c_in, k1+k2-1, k1+k2-1).  With both
-    kernels 1x1 this reduces to the matrix product f_hi @ f_lo over the
-    channel axes.
+    Result shape: (f_hi.c_out, f_lo.c_in, k1+k2-1, k1+k2-1).  Composition
+    is itself a convolution: ``f_lo``'s input channels, taken as a batch,
+    convolved with the spatially flipped ``f_hi`` padded by k2-1 (a full
+    convolution).  With both kernels 1x1 this reduces to the matrix
+    product f_hi @ f_lo over the channel axes.
     """
     f_lo = as_filter(f_lo)
     f_hi = as_filter(f_hi)
-    c_mid, c_in, k1, _ = f_lo.shape
-    c_out, c_mid2, k2, _ = f_hi.shape
-    if c_mid2 != c_mid:
-        raise ShapeError(f"channel mismatch: f_lo has {c_mid} outputs, f_hi expects {c_mid2} inputs")
-    kc = k1 + k2 - 1
-    out = np.zeros((c_out, c_in, kc, kc))
-    for u1 in range(k2):
-        for u2 in range(k2):
-            # (c_out, c_mid) @ (c_mid, c_in*k1*k1)
-            mix = f_hi[:, :, u1, u2] @ f_lo.reshape(c_mid, -1)
-            out[:, :, u1 : u1 + k1, u2 : u2 + k1] += mix.reshape(c_out, c_in, k1, k1)
-    return out
+    c_mid, k2 = f_lo.shape[0], f_hi.shape[2]
+    if f_hi.shape[1] != c_mid:
+        raise ShapeError(f"channel mismatch: f_lo has {c_mid} outputs, f_hi expects {f_hi.shape[1]} inputs")
+    return conv_batch(f_lo.transpose(1, 0, 2, 3), f_hi[:, :, ::-1, ::-1], k2 - 1).transpose(1, 0, 2, 3)
 
 
 def pad_filter(g, k_target: int) -> np.ndarray:
@@ -168,44 +187,15 @@ def identity_filter(c: int, k: int) -> np.ndarray:
     return f
 
 
-def _upper_system_matrix(f_lo, k_tilde: int, k2: int) -> np.ndarray:
-    """Matrix B with B @ vec(f_hi[c2]) = vec(compose(f_lo, f_hi)[c2]).
-
-    Rows are indexed (c_in, s1, s2) row-major, columns (c_mid, u1, u2).
-    The same matrix serves every output channel c2.
-    """
-    c_mid, c_in, k1, _ = f_lo.shape
-    b = np.zeros((c_in, k_tilde, k_tilde, c_mid, k2, k2))
-    lo_t = f_lo.transpose(1, 2, 3, 0)  # (c_in, k1, k1, c_mid)
-    for u1 in range(k2):
-        for u2 in range(k2):
-            b[:, u1 : u1 + k1, u2 : u2 + k1, :, u1, u2] = lo_t
-    return b.reshape(c_in * k_tilde * k_tilde, c_mid * k2 * k2)
-
-
-def _lower_system_matrix(f_hi, k_tilde: int, k1: int) -> np.ndarray:
-    """Matrix M with M @ vec(f_lo[:, c0]) = vec(compose(f_lo, f_hi)[:, c0]).
-
-    Rows are indexed (c_out, s1, s2) row-major, columns (c_mid, v1, v2).
-    The same matrix serves every input channel c0.
-    """
-    c_out, c_mid, k2, _ = f_hi.shape
-    m = np.zeros((c_out, k_tilde, k_tilde, c_mid, k1, k1))
-    hi_t = f_hi.transpose(0, 2, 3, 1)  # (c_out, k2, k2, c_mid)
-    for v1 in range(k1):
-        for v2 in range(k1):
-            m[:, v1 : v1 + k2, v2 : v2 + k2, :, v1, v2] = hi_t
-    return m.reshape(c_out * k_tilde * k_tilde, c_mid * k1 * k1)
-
-
 def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     """Solve one factor of ``compose_filters(f_lo, f_hi) ~= g_tilde`` in the
     least-squares sense, with the other factor fixed.
 
     solve_side="upper": ``fixed`` is f_lo, the returned tensor is the
     minimizing f_hi.  solve_side="lower": ``fixed`` is f_hi, the returned
-    tensor is the minimizing f_lo.  Rank-deficient systems yield the
-    minimum-norm solution (SVD-backed lstsq).
+    tensor is the minimizing f_lo; it is the upper solve of the adjoint
+    problem.  Rank-deficient systems yield the minimum-norm solution
+    (SVD-backed lstsq).
 
     Returns (solved, residual) with residual = ||g_tilde - compose||_F.
     """
@@ -213,30 +203,26 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     fixed = as_filter(fixed)
     c_out, c_in, kt, _ = g_tilde.shape
     if solve_side == "upper":
-        c_mid, c_in_f, k1, _ = fixed.shape
-        if c_in_f != c_in:
-            raise ShapeError(f"fixed lower factor has {c_in_f} input channels, target has {c_in}")
-        k2 = kt - k1 + 1
-        if k2 < 1:
-            raise ShapeError(f"fixed kernel {k1} exceeds target kernel {kt}")
-        bmat = _upper_system_matrix(fixed, kt, k2)
-        rhs = g_tilde.reshape(c_out, -1).T  # (c_in*kt*kt, c_out)
-        sol, *_ = np.linalg.lstsq(bmat, rhs, rcond=None)
-        solved = sol.T.reshape(c_out, c_mid, k2, k2)
-        f_lo, f_hi = fixed, solved
+        if fixed.shape[1] != c_in:
+            raise ShapeError(f"fixed lower factor has {fixed.shape[1]} input channels, target has {c_in}")
     elif solve_side == "lower":
-        c_out_f, c_mid, k2, _ = fixed.shape
-        if c_out_f != c_out:
-            raise ShapeError(f"fixed upper factor has {c_out_f} output channels, target has {c_out}")
-        k1 = kt - k2 + 1
-        if k1 < 1:
-            raise ShapeError(f"fixed kernel {k2} exceeds target kernel {kt}")
-        mmat = _lower_system_matrix(fixed, kt, k1)
-        rhs = g_tilde.transpose(0, 2, 3, 1).reshape(c_out * kt * kt, c_in)
-        sol, *_ = np.linalg.lstsq(mmat, rhs, rcond=None)
-        solved = sol.reshape(c_mid, k1, k1, c_in).transpose(0, 3, 1, 2).copy()
-        f_lo, f_hi = solved, fixed
+        if fixed.shape[0] != c_out:
+            raise ShapeError(f"fixed upper factor has {fixed.shape[0]} output channels, target has {c_out}")
+        g_tilde, fixed = _adjoint(g_tilde), _adjoint(fixed)
     else:
         raise ValueError(f"solve_side must be 'lower' or 'upper', got {solve_side!r}")
-    residual = float(np.linalg.norm(g_tilde - compose_filters(f_lo, f_hi)))
-    return solved, residual
+    if fixed.shape[2] > kt:
+        raise ShapeError(f"fixed kernel {fixed.shape[2]} exceeds target kernel {kt}")
+    # compose(f_lo, f_hi) is the flipped f_hi times the columns of f_lo's
+    # input channels (see compose_filters): those columns, transposed, are
+    # the system matrix, one solve serves every output channel, and
+    # sol.T @ cols is the composition the residual needs
+    c_mid, k2 = fixed.shape[0], kt - fixed.shape[2] + 1
+    cols = _columns(fixed.transpose(1, 0, 2, 3), k2, k2 - 1)
+    target = g_tilde.reshape(g_tilde.shape[0], -1)
+    sol, *_ = np.linalg.lstsq(cols.T, target.T, rcond=None)
+    residual = float(np.linalg.norm(sol.T @ cols - target))
+    solved = sol.T.reshape(-1, c_mid, k2, k2)[:, :, ::-1, ::-1]
+    if solve_side == "lower":
+        solved = _adjoint(solved)
+    return np.ascontiguousarray(solved), residual

@@ -116,6 +116,15 @@ class TestMorphVerify:
         code, *_ = run(capsys, "verify", "-a", str(parent_file), "-b", str(child))
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("weight", ["x", "nan", "inf"])
+    def test_bad_path_weight_exits_2(self, weight, parent_file, tmp_path, capsys):
+        code, _, stderr = run(
+            capsys, "morph", "-i", str(parent_file), "-o", str(tmp_path / "x.nmph"),
+            "--op", "subnet", "--layer", "0", "--paths", f"(3:4)@{weight}",
+        )
+        assert code == EXIT_USAGE
+        assert "error=" in stderr and "Traceback" not in stderr
+
     def test_infeasible_depth_morph_exits_3(self, parent_file, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "morph", "-i", str(parent_file), "-o", str(tmp_path / "x.nmph"),

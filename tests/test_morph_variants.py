@@ -72,6 +72,22 @@ class TestWiden:
         for i in new_rows:
             assert np.abs(hi[:, i]).max() == 0.0
 
+    def test_stacked_activations_chain_their_value_at_zero(self):
+        # sigmoid then tanh maps 0 to tanh(0.5), not 0: the outgoing side
+        # must be zeroed although tanh alone maps 0 to 0
+        rng = make_rng(56)
+        parent = NetworkDef(
+            input_shape=(2, 8, 8),
+            layers=[
+                same_pad_conv(rng.standard_normal((4, 2, 3, 3)), bias=rng.standard_normal(4)),
+                PActLayer(base="sigmoid", a=0.0),
+                PActLayer(base="tanh", a=0.0),
+                same_pad_conv(rng.standard_normal((3, 4, 3, 3)), bias=rng.standard_normal(3)),
+            ],
+        )
+        child = widen(parent, WidthMorphRequest(layer_index=0, new_width=5, seed=1))
+        assert check_preservation(parent, child, n_samples=20, tol=1e-10).pass_
+
     def test_sigmoid_incoming_zero_branch_breaks(self):
         # negative control: zeroing the incoming side while randomizing the
         # outgoing side must change the function when sigmoid(0) != 0
@@ -233,6 +249,11 @@ class TestSplitStacked:
         with pytest.raises(ShapeError):
             split_stacked(np.zeros((1, 1, 1, 1)), [0.6, 0.6])
 
+    @pytest.mark.parametrize("weights", [[np.nan], [np.inf, -np.inf], [0.5, np.nan]])
+    def test_non_finite_weights_raise(self, weights):
+        with pytest.raises(ShapeError):
+            split_stacked(np.zeros((1, 1, 1, 1)), weights)
+
 
 class TestMorphStacked:
     def test_degenerate_single_path_is_identity(self):
@@ -310,3 +331,8 @@ class TestMorphStacked:
     def test_weight_sum_validated(self):
         with pytest.raises(ShapeError):
             SubnetMorphRequest(layer_index=0, path_specs=[[(3, 4)]], split_weights=[0.9])
+
+    @pytest.mark.parametrize("weights", [[np.nan], [np.inf, -np.inf]])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ShapeError, match="finite"):
+            SubnetMorphRequest(layer_index=0, path_specs=[[(3, 4)]] * len(weights), split_weights=weights)

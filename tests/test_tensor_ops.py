@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmorph import (
     ShapeError,
@@ -51,6 +53,17 @@ class TestConvMC:
             x = rng.standard_normal((c, h, w))
             f = rng.standard_normal((co, c, k, k))
             np.testing.assert_allclose(conv_mc(x, f, pad), naive_conv(x, f, pad), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 3, 5]), st.integers(0, 5), st.integers(0, 2**16))
+    def test_any_pad_and_size_matches_naive(self, h, w, k, pad, seed):
+        # windows clipped on both sides: pads beyond k-1 and images smaller than the kernel
+        if min(h, w) + 2 * pad < k:
+            return
+        rng = make_rng(seed)
+        x = rng.standard_normal((2, h, w))
+        f = rng.standard_normal((3, 2, k, k))
+        np.testing.assert_allclose(conv_mc(x, f, pad), naive_conv(x, f, pad), atol=1e-12)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -199,3 +212,53 @@ class TestLstsqFactorStep:
     def test_bad_side_raises(self):
         with pytest.raises(ValueError):
             lstsq_factor_step(np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), "sideways")
+
+
+@st.composite
+def factor_shapes(draw, kernels=(1, 3)):
+    """(c_in, c_mid, c_out, k1, k2, seed); c_mid=1 is a bottleneck and a
+    kernel of 1 gives a 1x1 factor on that side."""
+    channels = st.integers(1, 3)
+    kernel = st.sampled_from(kernels)
+    return (draw(channels), draw(channels), draw(channels), draw(kernel), draw(kernel), draw(st.integers(0, 2**16)))
+
+
+def _dense_solve(g, fixed, solve_side, free_shape):
+    """Minimum-norm solution and residual of the least-squares problem over
+    the dense linear map from the free factor to ``naive_compose``, built
+    one unit vector at a time."""
+    n = int(np.prod(free_shape))
+    cols = []
+    for j in range(n):
+        free = np.eye(n)[j].reshape(free_shape)
+        pair = (fixed, free) if solve_side == "upper" else (free, fixed)
+        cols.append(naive_compose(*pair).reshape(-1))
+    amat = np.stack(cols, axis=1)
+    sol, *_ = np.linalg.lstsq(amat, g.reshape(-1), rcond=None)
+    return sol.reshape(free_shape), float(np.linalg.norm(g.reshape(-1) - amat @ sol))
+
+
+class TestFactorSolveProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(factor_shapes(kernels=(1, 3, 5)))
+    def test_compose_matches_naive(self, shape):
+        c_in, c_mid, c_out, k1, k2, seed = shape
+        rng = make_rng(seed)
+        f_lo = rng.standard_normal((c_mid, c_in, k1, k1))
+        f_hi = rng.standard_normal((c_out, c_mid, k2, k2))
+        np.testing.assert_allclose(compose_filters(f_lo, f_hi), naive_compose(f_lo, f_hi), rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(factor_shapes(), st.sampled_from(["upper", "lower"]))
+    def test_factor_step_matches_dense_oracle(self, shape, solve_side):
+        c_in, c_mid, c_out, k1, k2, seed = shape
+        rng = make_rng(seed)
+        f_lo_shape, f_hi_shape = (c_mid, c_in, k1, k1), (c_out, c_mid, k2, k2)
+        g = rng.standard_normal((c_out, c_in, k1 + k2 - 1, k1 + k2 - 1))
+        fixed_shape, free_shape = (f_lo_shape, f_hi_shape) if solve_side == "upper" else (f_hi_shape, f_lo_shape)
+        fixed = rng.standard_normal(fixed_shape)
+        solved, res = lstsq_factor_step(g, fixed, solve_side)
+        want, want_res = _dense_solve(g, fixed, solve_side, free_shape)
+        assert solved.shape == free_shape
+        np.testing.assert_allclose(solved, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
+        assert abs(res - want_res) <= 1e-9 * max(1.0, np.linalg.norm(g))
