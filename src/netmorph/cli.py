@@ -15,7 +15,7 @@ import numpy as np
 from .archparse import parse_arch, print_arch, build_network
 from .errors import ArchParseError, FormatError, InfeasibleMorphError, NetMorphError, ShapeError
 from .morph_depth import DepthMorphRequest, factor_chain, morph_general, morph_practical
-from .morph_variants import SubnetMorphRequest, WidthMorphRequest, expand_kernel, morph_stacked, widen
+from .morph_variants import SubnetMorphRequest, WidthMorphRequest, _check_split_weights, expand_kernel, morph_stacked, widen
 from .netdef import ConvLayer, PActLayer, ParallelLayer
 from .serialize import load as load_net, save as save_net
 from .train import TrainConfig, evaluate, load_mnist_idx, train_sgd
@@ -78,6 +78,10 @@ def _parse_paths(text):
         if not all(w is None for w in weights):
             raise ArchParseError("either give every path an @weight or none")
         weights = [1.0 / len(specs)] * len(specs)
+    try:
+        _check_split_weights(weights)
+    except ShapeError as exc:
+        raise ArchParseError(str(exc)) from None
     return specs, weights
 
 
@@ -104,7 +108,7 @@ def cmd_morph(args):
     raw = _conv_raw_index(net, args.layer)
     if args.op == "depth":
         if args.cl is None or args.k1 is None or args.k2 is None:
-            raise ShapeError("depth morph needs --cl, --k1 and --k2")
+            raise UsageError("depth morph needs --cl, --k1 and --k2")
         req = DepthMorphRequest(layer_index=raw, c_l=args.cl, k1=args.k1, k2=args.k2, seed=args.seed, tol=args.tol)
         solver = morph_general if args.alg == "general" else morph_practical
         target = net.layers[raw]
@@ -118,17 +122,17 @@ def cmd_morph(args):
         print(f"occupancy={occ.fraction:.6f}")
     elif args.op == "width":
         if args.width is None:
-            raise ShapeError("width morph needs --width")
+            raise UsageError("width morph needs --width")
         child = widen(net, WidthMorphRequest(layer_index=raw, new_width=args.width, seed=args.seed))
         print(f"op=width layer={args.layer} new_width={args.width}")
     elif args.op == "ksize":
         if args.kernel is None:
-            raise ShapeError("ksize morph needs --kernel")
+            raise UsageError("ksize morph needs --kernel")
         child = expand_kernel(net, raw, args.kernel)
         print(f"op=ksize layer={args.layer} new_kernel={args.kernel}")
     else:
         if not args.paths:
-            raise ShapeError("subnet morph needs --paths")
+            raise UsageError("subnet morph needs --paths")
         specs, weights = _parse_paths(args.paths)
         req = SubnetMorphRequest(layer_index=raw, path_specs=specs, split_weights=weights, seed=args.seed, tol=args.tol)
         child = morph_stacked(net, req)

@@ -17,7 +17,9 @@ composition is that kernel applied to the lower factor's input channels
 as a batch, and the least-squares factor solve uses the same columns,
 transposed, as its system matrix; the lower factor is solved as the
 upper factor of the adjoint (channel-transposed, spatially flipped)
-problem.
+problem.  When the fixed factor of that solve is 1x1, its system is the
+fixed channel matrix repeated once per target kernel position, and the
+solve is one small channel system instead of the dense columns.
 """
 
 import numpy as np
@@ -88,8 +90,9 @@ def _columns(x, k: int, pad: int) -> np.ndarray:
     zero-padded k x k windows, rows ordered like a filter's (c_in, k, k) axes.
 
     Each kernel offset copies the in-range part of x straight into its rows.
-    A padded copy of x is never made: for a factor solve's system it is
-    several MiB, and it stayed resident in the heap and raised peak memory.
+    A padded copy of x is never made: it would be one more input-sized
+    allocation per call, and such copies stayed resident in the heap and
+    raised peak memory.
     """
     n, c, h, w = x.shape
     if k == 1 and pad == 0:
@@ -197,6 +200,12 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     problem.  Rank-deficient systems yield the minimum-norm solution
     (SVD-backed lstsq).
 
+    A 1x1 fixed factor (after that adjoint step) is solved as one
+    (c_in x c_mid) channel system with all c_out*kt*kt target positions as
+    right-hand sides: the dense system is that channel matrix repeated
+    kt*kt times, so the solution, residual and singular-value cutoff are
+    the same.  Larger fixed kernels use the dense conv columns.
+
     Returns (solved, residual) with residual = ||g_tilde - compose||_F.
     """
     g_tilde = as_filter(g_tilde)
@@ -213,16 +222,27 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
         raise ValueError(f"solve_side must be 'lower' or 'upper', got {solve_side!r}")
     if fixed.shape[2] > kt:
         raise ShapeError(f"fixed kernel {fixed.shape[2]} exceeds target kernel {kt}")
-    # compose(f_lo, f_hi) is the flipped f_hi times the columns of f_lo's
-    # input channels (see compose_filters): those columns, transposed, are
-    # the system matrix, one solve serves every output channel, and
-    # sol.T @ cols is the composition the residual needs
-    c_mid, k2 = fixed.shape[0], kt - fixed.shape[2] + 1
-    cols = _columns(fixed.transpose(1, 0, 2, 3), k2, k2 - 1)
-    target = g_tilde.reshape(g_tilde.shape[0], -1)
-    sol, *_ = np.linalg.lstsq(cols.T, target.T, rcond=None)
-    residual = float(np.linalg.norm(sol.T @ cols - target))
-    solved = sol.T.reshape(-1, c_mid, k2, k2)[:, :, ::-1, ::-1]
+    c_mid = fixed.shape[0]
+    if fixed.shape[2] == 1:
+        # the dense system below would be a_t once per target position; its
+        # singular values are a_t's kt*kt times, hence the same cutoff
+        a_t = fixed[:, :, 0, 0].T
+        target = g_tilde.transpose(1, 0, 2, 3).reshape(a_t.shape[0], -1)
+        rcond = np.finfo(np.float64).eps * max(a_t.shape) * kt * kt
+        sol, *_ = np.linalg.lstsq(a_t, target, rcond=rcond)
+        residual = float(np.linalg.norm(a_t @ sol - target))
+        solved = sol.reshape(c_mid, -1, kt, kt).transpose(1, 0, 2, 3)
+    else:
+        # compose(f_lo, f_hi) is the flipped f_hi times the columns of f_lo's
+        # input channels (see compose_filters): those columns, transposed, are
+        # the system matrix, one solve serves every output channel, and
+        # sol.T @ cols is the composition the residual needs
+        k2 = kt - fixed.shape[2] + 1
+        cols = _columns(fixed.transpose(1, 0, 2, 3), k2, k2 - 1)
+        target = g_tilde.reshape(g_tilde.shape[0], -1)
+        sol, *_ = np.linalg.lstsq(cols.T, target.T, rcond=None)
+        residual = float(np.linalg.norm(sol.T @ cols - target))
+        solved = sol.T.reshape(-1, c_mid, k2, k2)[:, :, ::-1, ::-1]
     if solve_side == "lower":
         solved = _adjoint(solved)
     return np.ascontiguousarray(solved), residual

@@ -125,6 +125,33 @@ class TestMorphVerify:
         assert code == EXIT_USAGE
         assert "error=" in stderr and "Traceback" not in stderr
 
+    def test_path_weights_not_summing_to_one_exit_2(self, parent_file, tmp_path, capsys):
+        code, _, stderr = run(
+            capsys, "morph", "-i", str(parent_file), "-o", str(tmp_path / "x.nmph"),
+            "--op", "subnet", "--layer", "0", "--paths", "(3:8)@0.6,(3:8)@0.6",
+        )
+        assert code == EXIT_USAGE
+        assert "error=" in stderr and "sum to 1" in stderr
+
+    @pytest.mark.parametrize(
+        "op_args",
+        [
+            ("--op", "depth", "--k1", "3", "--k2", "1"),
+            ("--op", "depth", "--cl", "32", "--k2", "1"),
+            ("--op", "depth", "--cl", "32", "--k1", "3"),
+            ("--op", "width"),
+            ("--op", "ksize"),
+            ("--op", "subnet"),
+        ],
+        ids=["no-cl", "no-k1", "no-k2", "no-width", "no-kernel", "no-paths"],
+    )
+    def test_missing_op_option_exits_2(self, op_args, parent_file, tmp_path, capsys):
+        out = tmp_path / "x.nmph"
+        code, _, stderr = run(capsys, "morph", "-i", str(parent_file), "-o", str(out), "--layer", "0", *op_args)
+        assert code == EXIT_USAGE
+        assert "morph needs --" in stderr
+        assert not out.exists()
+
     def test_infeasible_depth_morph_exits_3(self, parent_file, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "morph", "-i", str(parent_file), "-o", str(tmp_path / "x.nmph"),

@@ -141,6 +141,24 @@ class TestMorphPractical:
         b = morph_practical(g, req)
         assert np.array_equal(a.f_lo, b.f_lo) and np.array_equal(a.f_hi, b.f_hi)
 
+    def test_paper_step_solves_channel_systems_only(self, monkeypatch):
+        # (5:256)(1:64) on a (64, 32, 5, 5) conv: the 1x1 factor must be
+        # solved as one 64x256 channel system, not a dense 1600x6400 one
+        shapes = []
+        lstsq = np.linalg.lstsq
+
+        def recording_lstsq(a, b, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return lstsq(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        g = make_rng(38).standard_normal((64, 32, 5, 5))
+        req = DepthMorphRequest(layer_index=0, c_l=256, k1=5, k2=1, seed=0)
+        out = morph_practical(g, req)
+        assert shapes and max(m * n for m, n in shapes) <= 800 * 256, shapes
+        err = np.linalg.norm(compose_filters(out.f_lo, out.f_hi) - g) / np.linalg.norm(g)
+        assert err <= req.tol
+
 
 class TestRebalance:
     def test_closed_form_scaling(self):

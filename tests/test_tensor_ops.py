@@ -262,3 +262,28 @@ class TestFactorSolveProperties:
         assert solved.shape == free_shape
         np.testing.assert_allclose(solved, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
         assert abs(res - want_res) <= 1e-9 * max(1.0, np.linalg.norm(g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(factor_shapes(), st.sampled_from([1, 3, 5]), st.sampled_from(["upper", "lower"]), st.booleans())
+    def test_1x1_fixed_factor_matches_dense_oracle(self, shape, kt, solve_side, rank_one):
+        # the channel-system solve must keep the dense solve's minimum-norm
+        # answer, also when the fixed channel matrix is rank-deficient
+        c_in, c_mid, c_out, _, _, seed = shape
+        if rank_one:
+            c_mid = max(c_mid, 2)
+        rng = make_rng(seed)
+        if solve_side == "upper":
+            fixed_rows, fixed_cols, free_shape = c_mid, c_in, (c_out, c_mid, kt, kt)
+        else:
+            fixed_rows, fixed_cols, free_shape = c_out, c_mid, (c_mid, c_in, kt, kt)
+        if rank_one:
+            channels = np.outer(rng.standard_normal(fixed_rows), rng.standard_normal(fixed_cols))
+        else:
+            channels = rng.standard_normal((fixed_rows, fixed_cols))
+        fixed = channels[:, :, None, None]
+        g = rng.standard_normal((c_out, c_in, kt, kt))
+        solved, res = lstsq_factor_step(g, fixed, solve_side)
+        want, want_res = _dense_solve(g, fixed, solve_side, free_shape)
+        assert solved.shape == free_shape
+        np.testing.assert_allclose(solved, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
+        assert abs(res - want_res) <= 1e-9 * max(1.0, np.linalg.norm(g))
