@@ -150,7 +150,8 @@ def check_preservation(parent: NetworkDef, child: NetworkDef, n_samples: int, to
         if border > 0 and pa.shape[1] > 1 and pa.shape[2] > 1:
             pa = pa[:, border:-border, border:-border]
             ch = ch[:, border:-border, border:-border]
-        max_dev = max(max_dev, float(np.abs(pa - ch).max()))
+        # np.maximum keeps a NaN deviation, where max(0.0, nan) drops it
+        max_dev = float(np.maximum(max_dev, np.abs(pa - ch).max()))
     return PreservationReport(
         samples=n_samples,
         max_abs_dev=max_dev,

@@ -8,6 +8,7 @@ from netmorph.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 from test_serialize import INVALID_LAYERS, _sample_net, rewrite_manifest
 from test_train import write_idx_pair
+from test_verify import nan_output_pair
 
 
 def run(capsys, *argv):
@@ -195,6 +196,16 @@ class TestMorphVerify:
         code, stdout, _ = run(capsys, "verify", "-a", str(a), "-b", str(b))
         assert code == EXIT_FAIL
         assert "pass=false" in stdout
+
+    def test_verify_nan_outputs_exits_1(self, tmp_path, capsys):
+        a, b = tmp_path / "a.nmph", tmp_path / "b.nmph"
+        parent, child = nan_output_pair()
+        a.write_bytes(serialize(parent))
+        b.write_bytes(serialize(child))
+        with np.errstate(all="ignore"):
+            code, stdout, _ = run(capsys, "verify", "-a", str(a), "-b", str(b))
+        assert code == EXIT_FAIL
+        assert "max_abs_dev=nan" in stdout and "pass=false" in stdout
 
     def test_verify_zero_samples_exits_2(self, parent_file, capsys):
         code, *_ = run(capsys, "verify", "-a", str(parent_file), "-b", str(parent_file), "--samples", "0")

@@ -159,6 +159,24 @@ class TestMorphPractical:
         err = np.linalg.norm(compose_filters(out.f_lo, out.f_hi) - g) / np.linalg.norm(g)
         assert err <= req.tol
 
+    def test_3x3_pair_solves_through_gram_matrices(self, monkeypatch):
+        # (3:96)(3:32) on a (32, 48, 5, 5) conv: both 3x3 factor steps are
+        # well conditioned, so neither may fall back to the dense SVD lstsq
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def recording_lstsq(a, b, *args, **kwargs):
+            calls.append(np.shape(a))
+            return lstsq(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        g = make_rng(40).standard_normal((32, 48, 5, 5))
+        req = DepthMorphRequest(layer_index=0, c_l=96, k1=3, k2=3, seed=0)
+        out = morph_practical(g, req)
+        assert calls == []
+        err = np.linalg.norm(compose_filters(out.f_lo, out.f_hi) - g) / np.linalg.norm(g)
+        assert err <= req.tol
+
 
 class TestRebalance:
     def test_closed_form_scaling(self):

@@ -287,3 +287,34 @@ class TestFactorSolveProperties:
         assert solved.shape == free_shape
         np.testing.assert_allclose(solved, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
         assert abs(res - want_res) <= 1e-9 * max(1.0, np.linalg.norm(g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(factor_shapes(), st.sampled_from(["upper", "lower"]), st.sampled_from(["rank_one", "scaled", "zero"]))
+    def test_degenerate_3x3_fixed_factor_matches_dense_oracle(self, shape, solve_side, kind):
+        # a 3x3 fixed factor whose Gram matrix is singular or ill-conditioned
+        # must take the lstsq fallback and keep the minimum-norm answer
+        c_in, c_mid, c_out, _, k_free, seed = shape
+        c_mid = max(c_mid, 2)
+        rng = make_rng(seed)
+        if solve_side == "upper":
+            fixed_shape, free_shape = (c_mid, c_in, 3, 3), (c_out, c_mid, k_free, k_free)
+        else:
+            fixed_shape, free_shape = (c_out, c_mid, 3, 3), (c_mid, c_in, k_free, k_free)
+        if kind == "rank_one":
+            channels = np.outer(rng.standard_normal(fixed_shape[0]), rng.standard_normal(fixed_shape[1]))
+            fixed = channels[:, :, None, None] * rng.standard_normal((3, 3))
+        elif kind == "scaled":
+            fixed = rng.standard_normal(fixed_shape)
+            mid_channel = (0,) if solve_side == "upper" else (slice(None), 0)
+            fixed[mid_channel] *= 1e-3
+        else:
+            fixed = np.zeros(fixed_shape)
+        kt = k_free + 2
+        g = rng.standard_normal((c_out, c_in, kt, kt))
+        solved, res = lstsq_factor_step(g, fixed, solve_side)
+        want, want_res = _dense_solve(g, fixed, solve_side, free_shape)
+        assert solved.shape == free_shape
+        np.testing.assert_allclose(solved, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
+        assert abs(res - want_res) <= 1e-9 * max(1.0, np.linalg.norm(g))
+        if kind == "zero":
+            assert not solved.any() and res == pytest.approx(np.linalg.norm(g), rel=1e-12)

@@ -34,6 +34,20 @@ def _net(seed=0, k=3, hw=8):
     )
 
 
+def nan_output_pair():
+    """A (3:4)(3:4) parent and a child whose every output is NaN: the first
+    conv's channels are +-1e308 (+, -, +, -), which overflow to +-inf, and
+    the second conv's centre taps +1, +1, -1, -1 add inf to -inf."""
+    parent = build_network(parse_arch("(3:4)(3:4)"), (3, 8, 8), seed=0)
+    lo, hi = parent.conv_indices()
+    w_lo = np.ones((4, 3, 3, 3)) * np.array([1.0, -1.0, 1.0, -1.0])[:, None, None, None] * 1e308
+    w_hi = np.zeros((4, 4, 3, 3))
+    w_hi[:, :, 1, 1] = [1.0, 1.0, -1.0, -1.0]
+    layers = list(parent.layers)
+    layers[lo], layers[hi] = same_pad_conv(w_lo), same_pad_conv(w_hi)
+    return parent, parent.with_layers(layers)
+
+
 class TestSupportRadius:
     def test_dense_filter(self):
         assert support_radius(np.ones((1, 1, 5, 5))) == 2
@@ -88,6 +102,14 @@ class TestCheckPreservation:
         net = _net(107)
         text = check_preservation(net, net, n_samples=2, tol=1e-8).to_text()
         assert "max_abs_dev=" in text and "pass=true" in text and "crop_border=0" in text
+
+    def test_nan_outputs_fail(self):
+        parent, child = nan_output_pair()
+        with np.errstate(all="ignore"):
+            assert np.isnan(forward(child, make_rng(0).standard_normal(parent.input_shape))).all()
+            report = check_preservation(parent, child, n_samples=5, tol=1e-8)
+        assert np.isnan(report.max_abs_dev) and not report.pass_
+        assert "max_abs_dev=nan" in report.to_text() and "pass=false" in report.to_text()
 
 
 def _depth_3x3_pair(seed=0):
