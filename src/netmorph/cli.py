@@ -1,8 +1,8 @@
 """Command-line surface: parse, inspect, morph, verify, train, eval.
 
 Exit codes: 0 success (or verification pass), 1 verification failure,
-2 usage or I/O error, 3 infeasible morph.  All output is line-oriented
-key=value text so it can be asserted on without a parser.
+2 usage or I/O error, 3 infeasible morph (``morph`` only).  All output is
+line-oriented key=value text so it can be asserted on without a parser.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import numpy as np
 
 from .archparse import parse_arch, print_arch, build_network
 from .errors import ArchParseError, FormatError, InfeasibleMorphError, NetMorphError, ShapeError
-from .morph_depth import DepthMorphRequest, factor_chain, morph_general, morph_practical
+from .morph_depth import DepthMorphRequest, _depth_child
 from .morph_variants import SubnetMorphRequest, WidthMorphRequest, _check_split_weights, expand_kernel, morph_stacked, widen
 from .netdef import ConvLayer, PActLayer, ParallelLayer
 from .serialize import load as load_net, save as save_net
@@ -110,14 +110,8 @@ def cmd_morph(args):
         if args.cl is None or args.k1 is None or args.k2 is None:
             raise UsageError("depth morph needs --cl, --k1 and --k2")
         req = DepthMorphRequest(layer_index=raw, c_l=args.cl, k1=args.k1, k2=args.k2, seed=args.seed, tol=args.tol)
-        solver = morph_general if args.alg == "general" else morph_practical
-        target = net.layers[raw]
-        outcome = solver(target.weights, req)
-        layers = list(net.layers)
-        layers[raw : raw + 1] = factor_chain(layers, raw, [outcome.f_lo, outcome.f_hi], target.bias)
-        child = net.with_layers(layers)
-        composite = np.concatenate([outcome.f_lo.reshape(-1), outcome.f_hi.reshape(-1)])
-        occ = occupancy(composite.reshape(-1, 1, 1, 1))
+        child, outcome = _depth_child(net, req, args.alg)
+        occ = occupancy(np.concatenate([outcome.f_lo.ravel(), outcome.f_hi.ravel()]))
         print(f"op=depth layer={args.layer} residual={outcome.residual:.3e} shrunk_kernel={outcome.shrunk_kernel}")
         print(f"occupancy={occ.fraction:.6f}")
     elif args.op == "width":
@@ -145,6 +139,8 @@ def cmd_morph(args):
 def cmd_verify(args):
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
+    if not args.tol >= 0:  # also rejects NaN
+        raise UsageError(f"--tol must be a number >= 0, got {args.tol}")
     a = load_net(args.net_a)
     b = load_net(args.net_b)
     report = check_preservation(a, b, n_samples=args.samples, tol=args.tol, seed=args.seed)
@@ -257,7 +253,7 @@ def main(argv=None):
         return EXIT_USAGE
     except (InfeasibleMorphError, ShapeError) as exc:
         print(f"error={exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return EXIT_INFEASIBLE if args.command == "morph" else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -65,8 +65,8 @@ def converge_condition(c_lm1: int, c_l: int, c_lp1: int, k1: int, k2: int) -> bo
     return min(c_l * c_lm1 * k1 * k1, c_lp1 * c_l * k2 * k2) >= target
 
 
-def _check_parity(k: int, k1: int, k2: int):
-    kt = k1 + k2 - 1
+def _check_parity(k: int, kt: int):
+    """Parent kernel ``k`` must fit centred in effective kernel ``kt``."""
     if kt < k:
         raise ShapeError(f"effective kernel {kt} smaller than parent kernel {k}")
     if (kt - k) % 2 != 0:
@@ -123,7 +123,7 @@ def morph_general(g, req: DepthMorphRequest) -> MorphOutcome:
     """Alternating-least-squares factorization of g (general algorithm)."""
     g = as_filter(g)
     k = g.shape[2]
-    _check_parity(k, req.k1, req.k2)
+    _check_parity(k, req.k1 + req.k2 - 1)
     f_lo, f_hi, trace, iterations, rel = _alternate(
         g, req.c_l, req.k1, req.k2, make_rng(req.seed), req.max_iter, req.tol
     )
@@ -164,7 +164,7 @@ def morph_practical(g, req: DepthMorphRequest) -> MorphOutcome:
     as the parent filter ("expands" it)."""
     g = as_filter(g)
     c_lp1, c_lm1, k, _ = g.shape
-    _check_parity(k, req.k1, req.k2)
+    _check_parity(k, req.k1 + req.k2 - 1)
     count_g = g.size
     lo_expands = req.c_l * c_lm1 * req.k1 * req.k1 >= count_g
     hi_expands = c_lp1 * req.c_l * req.k2 * req.k2 >= count_g
@@ -192,25 +192,34 @@ def morph_practical(g, req: DepthMorphRequest) -> MorphOutcome:
     )
 
 
+def _conv_at(layers, index) -> ConvLayer:
+    """``layers[index]`` if that is a conv layer, else a ShapeError."""
+    layer = layers[index] if 0 <= index < len(layers) else None
+    if not isinstance(layer, ConvLayer):
+        raise ShapeError(f"layer {index} is not a conv layer")
+    return layer
+
+
+def _depth_child(net: NetworkDef, req: DepthMorphRequest, algorithm: str):
+    """``insert_depth``'s child and the ``MorphOutcome`` it was built from."""
+    i = req.layer_index
+    layers = list(net.layers)
+    target = _conv_at(layers, i)
+    # looked up per call, so a rebinding of the module's solver names is seen
+    solver = {"general": morph_general, "practical": morph_practical}.get(algorithm)
+    if solver is None:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    outcome = solver(target.weights, req)
+    layers[i : i + 1] = factor_chain(layers, i, [outcome.f_lo, outcome.f_hi], target.bias)
+    return net.with_layers(layers), outcome
+
+
 def insert_depth(net: NetworkDef, req: DepthMorphRequest, algorithm: str = "practical") -> NetworkDef:
     """Replace conv layer ``layer_index`` by the factor pair with an
     identity-parameter activation between them.  The lower conv gets zero
     bias, the upper conv inherits the parent bias, and any activation
     already following the parent layer is retained unchanged."""
-    layers = list(net.layers)
-    if not 0 <= req.layer_index < len(layers):
-        raise ShapeError(f"layer index {req.layer_index} out of range")
-    target = layers[req.layer_index]
-    if not isinstance(target, ConvLayer):
-        raise ShapeError(f"layer {req.layer_index} is not a conv layer")
-    solver = {"general": morph_general, "practical": morph_practical}.get(algorithm)
-    if solver is None:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    outcome = solver(target.weights, req)
-    layers[req.layer_index : req.layer_index + 1] = factor_chain(
-        layers, req.layer_index, [outcome.f_lo, outcome.f_hi], target.bias
-    )
-    return net.with_layers(layers)
+    return _depth_child(net, req, algorithm)[0]
 
 
 def factor_chain(layers, index, factors, bias) -> list:

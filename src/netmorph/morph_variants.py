@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleMorphError, ShapeError
-from .morph_depth import DEFAULT_TOL, DepthMorphRequest, factor_chain, morph_practical
+from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _check_parity, _conv_at, factor_chain, morph_practical
 from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer, pact_eval, same_pad_conv
 from .rng import make_rng
 from .tensor_ops import as_filter, pad_filter
@@ -77,11 +77,10 @@ def widen(net: NetworkDef, req: WidthMorphRequest) -> NetworkDef:
     the widened channels are randomly permuted.
     """
     layers = list(net.layers)
-    if not 0 <= req.layer_index < len(layers) or not isinstance(layers[req.layer_index], ConvLayer):
-        raise ShapeError(f"layer {req.layer_index} is not a conv layer")
     i = req.layer_index
+    lo = _conv_at(layers, i)
     j = _next_conv(layers, i)
-    lo, hi = layers[i], layers[j]
+    hi = layers[j]
     c_l = lo.c_out
     if req.new_width < c_l:
         raise ShapeError(f"cannot shrink width {c_l} to {req.new_width}")
@@ -129,9 +128,7 @@ def expand_kernel(net: NetworkDef, layer_index: int, new_kernel: int) -> Network
     """Grow a conv layer's kernel by centered zero padding, bumping its
     padding to match.  Exact everywhere, including image borders."""
     layers = list(net.layers)
-    if not 0 <= layer_index < len(layers) or not isinstance(layers[layer_index], ConvLayer):
-        raise ShapeError(f"layer {layer_index} is not a conv layer")
-    target = layers[layer_index]
+    target = _conv_at(layers, layer_index)
     if new_kernel % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {new_kernel}")
     w = pad_filter(target.weights, new_kernel)
@@ -199,18 +196,14 @@ def morph_stacked(net: NetworkDef, req: SubnetMorphRequest) -> NetworkDef:
     """Replace one conv layer by parallel sequential paths whose outputs
     sum to the parent layer's output (interior region for kernel growth)."""
     layers = list(net.layers)
-    if not 0 <= req.layer_index < len(layers) or not isinstance(layers[req.layer_index], ConvLayer):
-        raise ShapeError(f"layer {req.layer_index} is not a conv layer")
-    target = layers[req.layer_index]
+    target = _conv_at(layers, req.layer_index)
     k = target.kernel
     for spec in req.path_specs:
         if not spec:
             raise ShapeError("empty path spec")
         if spec[-1][1] != target.c_out:
             raise ShapeError(f"each path must end with {target.c_out} channels, got {spec[-1][1]}")
-        k_eff = sum(kk for kk, _ in spec) - (len(spec) - 1)
-        if k_eff < k or (k_eff - k) % 2 != 0:
-            raise ShapeError(f"path effective kernel {k_eff} incompatible with parent kernel {k}")
+        _check_parity(k, sum(kk for kk, _ in spec) - (len(spec) - 1))
 
     if len(req.path_specs) == 1 and len(req.path_specs[0]) == 1 and req.path_specs[0][0][0] == k:
         return net  # degenerate one-way stack of the original layer

@@ -279,10 +279,6 @@ class NetworkDef:
         object.__setattr__(self, "input_shape", shape)
         object.__setattr__(self, "layers", layers)
 
-    @property
-    def output_channels(self):
-        return _chain_channels(self.layers, self.input_shape[0])
-
     def conv_indices(self):
         """Raw indices of top-level conv layers, in order."""
         return [i for i, l in enumerate(self.layers) if isinstance(l, ConvLayer)]

@@ -22,19 +22,12 @@ ZERO_THRESHOLD = 1e-12
 
 
 def support_radius(f) -> int:
-    """Radius of the smallest centered kernel window containing every
-    entry with magnitude above the structural-zero threshold."""
+    """Largest Chebyshev distance from the kernel centre of any tap with
+    magnitude above the structural-zero threshold (0 if there is none)."""
     f = np.asarray(f)
-    k = f.shape[2]
-    half = (k - 1) // 2
-    mag = np.abs(f).max(axis=(0, 1))
-    for r in range(half, 0, -1):
-        ring = mag.copy()
-        ring[half - r + 1 : half + r, half - r + 1 : half + r] = 0.0
-        outer = ring[half - r : half + r + 1, half - r : half + r + 1]
-        if outer.max() > ZERO_THRESHOLD:
-            return r
-    return 0
+    half = (f.shape[2] - 1) // 2
+    rows, cols = np.nonzero(np.abs(f).max(axis=(0, 1)) > ZERO_THRESHOLD)
+    return int(np.maximum(abs(rows - half), abs(cols - half)).max(initial=0))
 
 
 def _layers_equal(a, b) -> bool:

@@ -39,6 +39,11 @@ class TestParseInspect:
         assert code == EXIT_USAGE
         assert "error=" in stderr
 
+    def test_invalid_input_shape_exits_2(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "parse", "--arch", "(3:4)", "--input-shape", "3,0,8", "-o", str(tmp_path / "x.nmph"))
+        assert code == EXIT_USAGE
+        assert "error=input shape" in stderr
+
     def test_parse_inspect_round_trip(self, tmp_path, capsys):
         out = tmp_path / "net.nmph"
         run(capsys, "parse", "--arch", "[(5:32x4)(1:32)]x2", "-o", str(out))
@@ -211,6 +216,30 @@ class TestMorphVerify:
         code, *_ = run(capsys, "verify", "-a", str(parent_file), "-b", str(parent_file), "--samples", "0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_verify_bad_tol_exits_2(self, tol, parent_file, capsys):
+        code, stdout, stderr = run(capsys, "verify", "-a", str(parent_file), "-b", str(parent_file), "--tol", tol)
+        assert code == EXIT_USAGE
+        assert stdout == "" and "error=--tol" in stderr
+
+    def test_verify_zero_tol_is_valid(self, parent_file, capsys):
+        code, stdout, _ = run(capsys, "verify", "-a", str(parent_file), "-b", str(parent_file), "--tol", "0")
+        assert code == EXIT_OK
+        assert "pass=true" in stdout
+
+    @pytest.mark.parametrize(
+        "arch_b, shape_b, message",
+        [("(3:4)", "3,9,9", "input shapes differ"), ("(3:5)", "3,8,8", "output shapes differ")],
+        ids=["input", "output"],
+    )
+    def test_verify_mismatched_nets_exits_2(self, arch_b, shape_b, message, tmp_path, capsys):
+        a, b = tmp_path / "a.nmph", tmp_path / "b.nmph"
+        run(capsys, "parse", "--arch", "(3:4)", "--input-shape", "3,8,8", "-o", str(a))
+        run(capsys, "parse", "--arch", arch_b, "--input-shape", shape_b, "-o", str(b))
+        code, _, stderr = run(capsys, "verify", "-a", str(a), "-b", str(b))
+        assert code == EXIT_USAGE
+        assert f"error={message}" in stderr
+
     def test_morph_outputs_are_deterministic(self, parent_file, tmp_path, capsys):
         c1, c2 = tmp_path / "c1.nmph", tmp_path / "c2.nmph"
         for c in (c1, c2):
@@ -221,31 +250,45 @@ class TestMorphVerify:
         assert c1.read_bytes() == c2.read_bytes()
 
 
-class TestTrainEval:
-    def test_train_and_eval_on_synthetic_idx(self, tmp_path, capsys):
-        data = tmp_path / "data"
-        data.mkdir()
-        ip, lp, *_ = write_idx_pair(data, n=30, rows=4, cols=4, seed=1)
-        ip.rename(data / "train-images-idx3-ubyte")
-        lp.rename(data / "train-labels-idx1-ubyte")
-        ip2, lp2, *_ = write_idx_pair(data, n=10, rows=4, cols=4, seed=2)
-        ip2.rename(data / "t10k-images-idx3-ubyte")
-        lp2.rename(data / "t10k-labels-idx1-ubyte")
+@pytest.fixture
+def idx_dir(tmp_path):
+    """A data directory with 30 training and 10 test 4x4 IDX images."""
+    data = tmp_path / "data"
+    data.mkdir()
+    ip, lp, *_ = write_idx_pair(data, n=30, rows=4, cols=4, seed=1)
+    ip.rename(data / "train-images-idx3-ubyte")
+    lp.rename(data / "train-labels-idx1-ubyte")
+    ip2, lp2, *_ = write_idx_pair(data, n=10, rows=4, cols=4, seed=2)
+    ip2.rename(data / "t10k-images-idx3-ubyte")
+    lp2.rename(data / "t10k-labels-idx1-ubyte")
+    return data
 
+
+class TestTrainEval:
+    def test_train_and_eval_on_synthetic_idx(self, idx_dir, tmp_path, capsys):
         net = tmp_path / "net.nmph"
         out = tmp_path / "trained.nmph"
         run(capsys, "parse", "--arch", "(1:10)", "--input-shape", "16,1,1", "-o", str(net))
         code, stdout, _ = run(
-            capsys, "train", "-i", str(net), "--data-dir", str(data),
+            capsys, "train", "-i", str(net), "--data-dir", str(idx_dir),
             "--epochs", "2", "--batch", "10", "--lr", "0.05", "-o", str(out),
         )
         assert code == EXIT_OK
         assert "epoch=0 loss=" in stdout and "epoch=1 loss=" in stdout
         assert "accuracy=" in stdout
         assert out.exists()
-        code, stdout, _ = run(capsys, "eval", "-i", str(out), "--data-dir", str(data))
+        code, stdout, _ = run(capsys, "eval", "-i", str(out), "--data-dir", str(idx_dir))
         assert code == EXIT_OK
         assert stdout.startswith("accuracy=")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_net_not_fitting_data_exits_2(self, command, idx_dir, tmp_path, capsys):
+        net = tmp_path / "net.nmph"
+        run(capsys, "parse", "--arch", "(1:10)", "--input-shape", "3,1,1", "-o", str(net))
+        output = ["-o", str(tmp_path / "out.nmph")] if command == "train" else []
+        code, _, stderr = run(capsys, command, "-i", str(net), "--data-dir", str(idx_dir), *output)
+        assert code == EXIT_USAGE
+        assert "error=dataset items" in stderr
 
     def test_missing_data_dir_exits_2(self, tmp_path, capsys):
         net = tmp_path / "net.nmph"

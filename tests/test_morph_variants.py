@@ -15,6 +15,7 @@ from netmorph import (
     check_preservation,
     compose_filters,
     expand_kernel,
+    insert_depth,
     make_rng,
     morph_practical,
     morph_sequential,
@@ -36,6 +37,24 @@ def _two_conv_net(seed=0, base="relu", c_mid=4, k=3, hw=8):
             same_pad_conv(rng.standard_normal((3, c_mid, k, k)), bias=rng.standard_normal(3)),
         ],
     )
+
+
+TARGETED_MORPHS = {
+    "insert_depth": lambda net, i: insert_depth(net, DepthMorphRequest(layer_index=i, c_l=8, k1=3, k2=1)),
+    "widen": lambda net, i: widen(net, WidthMorphRequest(layer_index=i, new_width=6)),
+    "expand_kernel": lambda net, i: expand_kernel(net, i, 5),
+    "morph_stacked": lambda net, i: morph_stacked(
+        net, SubnetMorphRequest(layer_index=i, path_specs=[[(3, 3)]], split_weights=[1.0])
+    ),
+}
+
+
+@pytest.mark.parametrize("index", [-1, 3, 1], ids=["negative", "past_end", "pact"])
+@pytest.mark.parametrize("morph", TARGETED_MORPHS.values(), ids=TARGETED_MORPHS.keys())
+def test_morph_target_must_be_a_conv(morph, index):
+    net = _two_conv_net(20)  # conv, pact, conv
+    with pytest.raises(ShapeError, match=f"layer {index} is not a conv layer"):
+        morph(net, index)
 
 
 class TestWiden:

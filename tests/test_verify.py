@@ -60,6 +60,22 @@ class TestSupportRadius:
     def test_delta_filter(self):
         assert support_radius(identity_filter(3, 5)) == 0
 
+    @pytest.mark.parametrize(
+        "k, tap, radius",
+        [(5, (0, 4), 2), (5, (4, 0), 2), (7, (3, 4), 1), (7, (0, 3), 3), (7, (3, 1), 2)],
+        ids=["corner", "other_corner", "right_of_centre", "top_edge", "left_of_centre"],
+    )
+    def test_single_tap(self, k, tap, radius):
+        f = np.zeros((2, 3, k, k))
+        f[1, 2][tap] = -1.0
+        assert support_radius(f) == radius
+
+    def test_all_zero_filter(self):
+        f = np.zeros((2, 2, 5, 5))
+        assert support_radius(f) == 0
+        f[0, 1, 0, 0] = 1e-13  # below the structural-zero threshold
+        assert support_radius(f) == 0
+
 
 class TestCheckPreservation:
     def test_reflexivity(self):
