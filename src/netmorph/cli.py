@@ -104,6 +104,8 @@ def cmd_inspect(args):
 
 
 def cmd_morph(args):
+    if not 0 < args.tol < math.inf:  # also rejects NaN
+        raise UsageError(f"--tol must be a finite number > 0, got {args.tol}")
     net = load_net(args.input)
     raw = _conv_raw_index(net, args.layer)
     if args.op == "depth":
@@ -111,6 +113,11 @@ def cmd_morph(args):
             raise UsageError("depth morph needs --cl, --k1 and --k2")
         req = DepthMorphRequest(layer_index=raw, c_l=args.cl, k1=args.k1, k2=args.k2, seed=args.seed, tol=args.tol)
         child, outcome = _depth_child(net, req, args.alg)
+        if outcome.residual > req.tol:
+            raise InfeasibleMorphError(
+                f"depth morph did not converge: residual {outcome.residual:.3e} > tol {req.tol:g} "
+                f"after {outcome.iterations} iterations"
+            )
         occ = occupancy(np.concatenate([outcome.f_lo.ravel(), outcome.f_hi.ravel()]))
         print(f"op=depth layer={args.layer} residual={outcome.residual:.3e} shrunk_kernel={outcome.shrunk_kernel}")
         print(f"occupancy={occ.fraction:.6f}")
@@ -139,8 +146,8 @@ def cmd_morph(args):
 def cmd_verify(args):
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
-    if not args.tol >= 0:  # also rejects NaN
-        raise UsageError(f"--tol must be a number >= 0, got {args.tol}")
+    if not 0 <= args.tol < math.inf:  # also rejects NaN
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     a = load_net(args.net_a)
     b = load_net(args.net_b)
     report = check_preservation(a, b, n_samples=args.samples, tol=args.tol, seed=args.seed)

@@ -12,7 +12,7 @@ to the requested kernel afterwards, trading outer-ring sparsity for
 guaranteed convergence in the expanding regime.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,30 +73,30 @@ def _check_parity(k: int, kt: int):
         raise ShapeError(f"effective kernel {kt} and parent kernel {k} have mismatched parity")
 
 
-def _alternate(g, c_l, k1, k2, rng, max_iter, tol):
+def _alternate(g, req, k1, k2, shrunk_kernel, rng, max_iter):
     """Alternating least-squares on the two factors of g zero-padded to
     k1+k2-1, starting from a random lower factor (the first half-step
-    solves the upper one from it).  Returns the factors, the trace of
-    relative residuals after each half-step, the iteration count and the
-    final relative residual."""
+    solves the upper one from it).  The working kernels ``k1``/``k2`` may
+    be smaller than the requested ones; the factors come back zero-padded
+    to ``req.k1``/``req.k2``, unbalanced, with the trace of relative
+    residuals after each half-step."""
     g_tilde = pad_filter(g, k1 + k2 - 1)
     c_lm1 = g.shape[1]
-    f_lo = rng.standard_normal((c_l, c_lm1, k1, k1)) / np.sqrt(c_lm1 * k1 * k1)
+    f_lo = rng.standard_normal((req.c_l, c_lm1, k1, k1)) / np.sqrt(c_lm1 * k1 * k1)
     norm = np.linalg.norm(g_tilde)
     scale = norm if norm > 0 else 1.0
     trace = []
-    iterations = 0
-    rel = np.inf
-    for _ in range(max_iter):
-        iterations += 1
+    for iterations in range(1, max_iter + 1):
         f_hi, res = lstsq_factor_step(g_tilde, f_lo, "upper")
         trace.append(res / scale)
         f_lo, res = lstsq_factor_step(g_tilde, f_hi, "lower")
-        rel = res / scale
-        trace.append(rel)
-        if rel <= tol:
+        trace.append(res / scale)
+        if trace[-1] <= req.tol:
             break
-    return f_lo, f_hi, trace, iterations, rel
+    return MorphOutcome(
+        f_lo=pad_filter(f_lo, req.k1), f_hi=pad_filter(f_hi, req.k2), residual=trace[-1],
+        iterations=iterations, shrunk_kernel=shrunk_kernel, trace=tuple(trace),
+    )
 
 
 def rebalance(f_lo, f_hi):
@@ -119,43 +119,17 @@ def rebalance(f_lo, f_hi):
     return f_lo * s, f_hi / s
 
 
+def _rebalanced(outcome: MorphOutcome) -> MorphOutcome:
+    """``outcome`` with its factor pair rebalanced."""
+    f_lo, f_hi = rebalance(outcome.f_lo, outcome.f_hi)
+    return replace(outcome, f_lo=f_lo, f_hi=f_hi)
+
+
 def morph_general(g, req: DepthMorphRequest) -> MorphOutcome:
     """Alternating-least-squares factorization of g (general algorithm)."""
     g = as_filter(g)
-    k = g.shape[2]
-    _check_parity(k, req.k1 + req.k2 - 1)
-    f_lo, f_hi, trace, iterations, rel = _alternate(
-        g, req.c_l, req.k1, req.k2, make_rng(req.seed), req.max_iter, req.tol
-    )
-    f_lo, f_hi = rebalance(f_lo, f_hi)
-    return MorphOutcome(
-        f_lo=f_lo, f_hi=f_hi, residual=rel, iterations=iterations,
-        shrunk_kernel=req.k2, trace=tuple(trace),
-    )
-
-
-def _practical_one_side(g, req, shrink_side, rng):
-    """Shrink the working kernel on one side until the single-iteration
-    solve converges.  Returns an outcome or None."""
-    k = g.shape[2]
-    for kr in range(req.k2 if shrink_side == "hi" else req.k1, 0, -2):
-        k1 = req.k1 if shrink_side == "hi" else kr
-        k2 = kr if shrink_side == "hi" else req.k2
-        if k1 + k2 - 1 < k:
-            break
-        f_lo, f_hi, trace, _, rel = _alternate(g, req.c_l, k1, k2, rng, 1, req.tol)
-        if rel <= req.tol:
-            # pad the shrunk factor back to its requested kernel
-            if shrink_side == "hi":
-                f_hi = pad_filter(f_hi, req.k2)
-            else:
-                f_lo = pad_filter(f_lo, req.k1)
-            f_lo, f_hi = rebalance(f_lo, f_hi)
-            return MorphOutcome(
-                f_lo=f_lo, f_hi=f_hi, residual=rel, iterations=1,
-                shrunk_kernel=kr, trace=tuple(trace),
-            )
-    return None
+    _check_parity(g.shape[2], req.k1 + req.k2 - 1)
+    return _rebalanced(_alternate(g, req, req.k1, req.k2, req.k2, make_rng(req.seed), req.max_iter))
 
 
 def morph_practical(g, req: DepthMorphRequest) -> MorphOutcome:
@@ -173,19 +147,18 @@ def morph_practical(g, req: DepthMorphRequest) -> MorphOutcome:
             "neither factor has enough parameters to absorb the parent filter "
             f"(need {count_g}, have lo={req.c_l * c_lm1 * req.k1**2}, hi={c_lp1 * req.c_l * req.k2**2})"
         )
-    # Shrink the non-expanding side's kernel; when both sides expand,
-    # shrink the side with the smaller kernel first (K2 on a tie).
-    if lo_expands and hi_expands:
-        order = ["hi", "lo"] if req.k2 <= req.k1 else ["lo", "hi"]
-    elif lo_expands:
-        order = ["hi"]
-    else:
-        order = ["lo"]
+    # (k1, k2, shrunk kernel) attempts: shrink the non-expanding side's
+    # kernel; when both sides expand, shrink the side with the smaller
+    # kernel first (K2 on a tie).
+    upper = [(req.k1, kr, kr) for kr in range(req.k2, 0, -2)] if lo_expands else []
+    lower = [(kr, req.k2, kr) for kr in range(req.k1, 0, -2)] if hi_expands else []
     rng = make_rng(req.seed)
-    for side in order:
-        outcome = _practical_one_side(g, req, side, rng)
-        if outcome is not None:
-            return outcome
+    for k1, k2, shrunk_kernel in upper + lower if req.k2 <= req.k1 else lower + upper:
+        if k1 + k2 - 1 < k:
+            continue
+        outcome = _alternate(g, req, k1, k2, shrunk_kernel, rng, 1)
+        if outcome.residual <= req.tol:
+            return _rebalanced(outcome)
     raise InfeasibleMorphError(
         "kernel shrinking exhausted without reaching zero loss; the requested "
         f"hidden width {req.c_l} cannot represent the parent filter exactly"

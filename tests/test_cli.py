@@ -131,6 +131,30 @@ class TestMorphVerify:
         assert code == EXIT_USAGE
         assert "error=" in stderr and "Traceback" not in stderr
 
+    def test_unweighted_paths_split_evenly(self, parent_file, tmp_path, capsys):
+        files = {}
+        for name, paths in (("even", "(3:4),(3:6)(1:4)"), ("weighted", "(3:4)@0.5,(3:6)(1:4)@0.5")):
+            files[name] = tmp_path / f"{name}.nmph"
+            code, *_ = run(
+                capsys, "morph", "-i", str(parent_file), "-o", str(files[name]),
+                "--op", "subnet", "--layer", "1", "--paths", paths,
+            )
+            assert code == EXIT_OK
+        assert files["even"].read_bytes() == files["weighted"].read_bytes()
+        code, stdout, _ = run(capsys, "inspect", "-i", str(files["even"]))
+        assert code == EXIT_OK
+        assert "layer2=parallel paths=2 path_lengths=1/3" in stdout.splitlines()
+
+    def test_mixed_weighted_and_unweighted_paths_exit_2(self, parent_file, tmp_path, capsys):
+        out = tmp_path / "x.nmph"
+        code, _, stderr = run(
+            capsys, "morph", "-i", str(parent_file), "-o", str(out),
+            "--op", "subnet", "--layer", "1", "--paths", "(3:4)@0.5,(3:6)(1:4)",
+        )
+        assert code == EXIT_USAGE
+        assert "error=either give every path an @weight or none" in stderr
+        assert not out.exists()
+
     def test_path_weights_not_summing_to_one_exit_2(self, parent_file, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "morph", "-i", str(parent_file), "-o", str(tmp_path / "x.nmph"),
@@ -165,6 +189,37 @@ class TestMorphVerify:
         )
         assert code == EXIT_INFEASIBLE
         assert "error=" in stderr
+
+    def test_unconverged_general_depth_morph_exits_3(self, tmp_path, capsys):
+        parent, out = tmp_path / "p.nmph", tmp_path / "x.nmph"
+        run(capsys, "parse", "--arch", "(3:4)", "--input-shape", "2,8,8", "-o", str(parent))
+        code, stdout, stderr = run(
+            capsys, "morph", "-i", str(parent), "-o", str(out), "--alg", "general",
+            "--op", "depth", "--layer", "0", "--cl", "1", "--k1", "3", "--k2", "1",
+        )
+        assert code == EXIT_INFEASIBLE
+        assert stdout == "" and "error=depth morph did not converge" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "op_args",
+        [
+            ("--op", "depth", "--cl", "16", "--k1", "3", "--k2", "1"),
+            ("--op", "width", "--width", "12"),
+            ("--op", "ksize", "--kernel", "5"),
+            ("--op", "subnet", "--paths", "(3:8),(3:8)"),
+        ],
+        ids=["depth", "width", "ksize", "subnet"],
+    )
+    def test_morph_bad_tol_exits_2(self, op_args, tol, parent_file, tmp_path, capsys):
+        out = tmp_path / "x.nmph"
+        code, stdout, stderr = run(
+            capsys, "morph", "-i", str(parent_file), "-o", str(out), "--layer", "0", "--tol", tol, *op_args
+        )
+        assert code == EXIT_USAGE
+        assert stdout == "" and "error=--tol must be a finite number > 0" in stderr
+        assert not out.exists()
 
     def test_layer_out_of_range_exits_2(self, parent_file, tmp_path, capsys):
         code, _, stderr = run(
@@ -216,7 +271,7 @@ class TestMorphVerify:
         code, *_ = run(capsys, "verify", "-a", str(parent_file), "-b", str(parent_file), "--samples", "0")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_verify_bad_tol_exits_2(self, tol, parent_file, capsys):
         code, stdout, stderr = run(capsys, "verify", "-a", str(parent_file), "-b", str(parent_file), "--tol", tol)
         assert code == EXIT_USAGE

@@ -122,6 +122,32 @@ class TestMorphPractical:
         err = np.linalg.norm(comp - pad_filter(g, 5)) / np.linalg.norm(g)
         assert err <= 1e-8
 
+    def test_shrinks_and_pads_lower_factor(self):
+        # Only the upper factor is large enough (288 >= 144 > 72); the lower
+        # 3x3 factor must shrink and come back with a zero outer ring.
+        g = make_rng(39).standard_normal((8, 2, 3, 3))
+        req = DepthMorphRequest(layer_index=0, c_l=4, k1=3, k2=3, seed=0)
+        out = morph_practical(g, req)
+        assert out.residual <= req.tol
+        assert out.shrunk_kernel == 1
+        assert out.f_lo.shape == (4, 2, 3, 3) and out.f_hi.shape == (8, 4, 3, 3)
+        ring = out.f_lo.copy()
+        ring[:, :, 1:2, 1:2] = 0.0
+        assert np.abs(ring).max() == 0.0
+        err = np.linalg.norm(compose_filters(out.f_lo, out.f_hi) - pad_filter(g, 5)) / np.linalg.norm(g)
+        assert err <= req.tol
+
+    def test_both_sides_expanding_shrinks_smaller_kernel_first(self):
+        # Both factors expand and k1 < k2, so the lower side is tried first,
+        # at its requested (unshrunk) 1x1 kernel, and converges there.
+        g = make_rng(41).standard_normal((4, 3, 5, 5))
+        req = DepthMorphRequest(layer_index=0, c_l=200, k1=1, k2=5, seed=0)
+        out = morph_practical(g, req)
+        assert out.residual <= req.tol
+        assert out.shrunk_kernel == 1
+        err = np.linalg.norm(compose_filters(out.f_lo, out.f_hi) - g) / np.linalg.norm(g)
+        assert err <= req.tol
+
     def test_degenerate_scalar_case(self):
         g = np.full((1, 1, 1, 1), 6.0)
         out = morph_practical(g, DepthMorphRequest(layer_index=0, c_l=1, k1=1, k2=1, seed=0))

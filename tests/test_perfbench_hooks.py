@@ -7,7 +7,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import netmorph.cli
+import netmorph.morph_depth
+from netmorph import DepthMorphRequest, make_rng
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -19,6 +23,21 @@ def _tracing():
     return module
 
 
+def _traced(call):
+    """Run ``call()`` under the benchmark's tracer; return its result and
+    the per-layer call counts and counters it recorded.  ``call`` looks the
+    traced functions up when it runs, so it reaches their wrappers."""
+    tracer = _tracing().Tracer()
+    mark = tracer.mark()
+    tracer.install()
+    try:
+        result = call()
+    finally:
+        tracer.uninstall()
+    calls, _, counters = tracer.summary(mark)
+    return result, calls, counters
+
+
 def test_every_traced_function_resolves():
     for mod_name, fn_name in _tracing().TRACED:
         assert callable(getattr(importlib.import_module(f"netmorph.{mod_name}"), fn_name, None)), (mod_name, fn_name)
@@ -27,17 +46,25 @@ def test_every_traced_function_resolves():
 def test_cli_depth_morph_reaches_the_traced_solver(tmp_path, capsys):
     parent, child = str(tmp_path / "parent.nmph"), str(tmp_path / "child.nmph")
     assert netmorph.cli.main(["parse", "--arch", "(3:8)(3:4)", "--input-shape", "2,10,10", "-o", parent]) == 0
-    tracer = _tracing().Tracer()
-    mark = tracer.mark()
-    tracer.install()
-    try:
-        code = netmorph.cli.main(
+    code, calls, counters = _traced(
+        lambda: netmorph.cli.main(
             ["morph", "-i", parent, "-o", child, "--op", "depth", "--layer", "0", "--cl", "16", "--k1", "3", "--k2", "1"]
         )
-    finally:
-        tracer.uninstall()
+    )
     assert code == 0
-    calls, _, counters = tracer.summary(mark)
     assert calls["cli.main"] == 1
     assert calls["morph_depth.morph_practical"] == 1
     assert counters["morph_depth.shrink_attempts"] >= 1
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 3, 3), (8, 2, 3, 3)], ids=["shrink-upper", "shrink-lower"])
+def test_every_shrink_attempt_is_counted(shape):
+    # Both requests converge at their second attempt (3x3, then 1x1 on the
+    # shrinking side); each attempt is one upper and one lower factor solve.
+    g = make_rng(42).standard_normal(shape)
+    req = DepthMorphRequest(layer_index=0, c_l=4, k1=3, k2=3)
+    outcome, calls, counters = _traced(lambda: netmorph.morph_depth.morph_practical(g, req))
+    assert outcome.shrunk_kernel == 1
+    assert calls["morph_depth.morph_practical"] == 1
+    assert calls["tensor_ops.lstsq_factor_step"] == 4
+    assert counters["morph_depth.shrink_attempts"] == 2

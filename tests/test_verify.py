@@ -7,7 +7,9 @@ from netmorph import (
     DepthMorphRequest,
     NetworkDef,
     PActLayer,
+    ParallelLayer,
     ShapeError,
+    SubnetMorphRequest,
     build_network,
     check_preservation,
     expand_kernel,
@@ -15,6 +17,7 @@ from netmorph import (
     identity_filter,
     insert_depth,
     make_rng,
+    morph_stacked,
     occupancy,
     parse_arch,
     same_pad_conv,
@@ -176,6 +179,27 @@ class TestCropBorder:
         report = check_preservation(parent, child.with_layers(layers), n_samples=5, tol=1e-8)
         assert report.crop_border == 3 and not report.pass_
 
+
+    @pytest.mark.parametrize(
+        "arch, stacked, morphed, border",
+        [("(3:8)(5:8)(3:4)", 0, 1, 2), ("(5:8)(3:8)(3:4)", 2, 0, 3)],
+        ids=["stack-in-head", "stack-in-tail"],
+    )
+    def test_unchanged_stacked_layer_is_aligned(self, arch, stacked, morphed, border):
+        # A stacked (parallel) layer outside the morphed block is matched as
+        # unchanged, so it adds nothing to the crop border.
+        plain = build_network(parse_arch(arch), (3, 12, 12), seed=5)
+        i, j = plain.conv_indices()[stacked], plain.conv_indices()[morphed]
+        c = plain.layers[i].c_out
+        parent = morph_stacked(plain, SubnetMorphRequest(i, [[(3, c)], [(3, 2 * c), (1, c)]], [0.5, 0.5], seed=1))
+        assert isinstance(parent.layers[i], ParallelLayer)
+
+        def depth(net):
+            return insert_depth(net, DepthMorphRequest(j, c_l=24, k1=3, k2=3, seed=2))
+
+        report = check_preservation(parent, depth(parent), n_samples=10, tol=1e-8)
+        assert report.pass_ and report.crop_border == border
+        assert check_preservation(plain, depth(plain), n_samples=10, tol=1e-8).crop_border == border
 
 class TestOccupancy:
     def test_identity_filter_counts(self):
