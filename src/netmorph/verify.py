@@ -1,21 +1,25 @@
 """Verification oracle: function-preservation checking plus filter
 occupancy and parameter-scale statistics.
 
-Preservation is checked pointwise on random Gaussian inputs.  Composed
-convolutions only match a single convolution away from the image edge,
-because each inner conv reads a zero-padded intermediate blob, so a border
-of the width that padding can reach is cropped before comparing.
+Preservation is checked pointwise on random Gaussian inputs.  Parent and
+child are aligned from both ends; the layers in front of the changed block
+are the same in both nets, so each sample runs through them once and their
+output feeds both remaining layer lists.  Composed convolutions only match
+a single convolution away from the image edge, because each inner conv
+reads a zero-padded intermediate blob, so a border of the width that
+padding can reach is cropped before comparing.
 Structural support ignores zero outer rings, so kernel-size morphs
 (zero-ring growth) and practical depth morphs whose shrunk factor is 1x1
 are credited as exact.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .netdef import ConvLayer, NetworkDef, ParallelLayer, forward
+from .netdef import ConvLayer, NetworkDef, ParallelLayer, forward_pass
 from .rng import make_rng
 
 ZERO_THRESHOLD = 1e-12
@@ -72,6 +76,21 @@ def _padding_error(layers, support=0):
     return border, support
 
 
+def _align(parent: NetworkDef, child: NetworkDef):
+    """Return (head, border): the number of leading layers the two nets
+    share, and the crop border described in ``crop_border_for``."""
+    pa, ch = parent.layers, child.layers
+    n = min(len(pa), len(ch))
+    head = next((i for i in range(n) if not _layers_equal(pa[i], ch[i])), n)
+    tail = next((i for i in range(n) if not _layers_equal(pa[-1 - i], ch[-1 - i])), n)
+    start = min(head, n - tail)  # the changed block lies between head and tail, which may overlap
+    block, support = _padding_error(ch[start : len(ch) - tail])
+    block -= _padding_error(pa[start : len(pa) - tail])[0]
+    if block <= 0:
+        return head, 0
+    return head, block + _padding_error(pa[len(pa) - tail :], support)[0]
+
+
 def crop_border_for(parent: NetworkDef, child: NetworkDef) -> int:
     """Width of the image border on which parent and child may disagree.
 
@@ -85,19 +104,7 @@ def crop_border_for(parent: NetworkDef, child: NetworkDef) -> int:
     Width, kernel-size and depth morphs whose lower or upper factor is 1x1
     add nothing, so they are exact everywhere.
     """
-    pa, ch = list(parent.layers), list(child.layers)
-    tail = []
-    while pa and ch and _layers_equal(pa[-1], ch[-1]):
-        tail.append(pa.pop())
-        ch.pop()
-    head = 0
-    while head < min(len(pa), len(ch)) and _layers_equal(pa[head], ch[head]):
-        head += 1
-    block, support = _padding_error(ch[head:])
-    block -= _padding_error(pa[head:])[0]
-    if block <= 0:
-        return 0
-    return block + _padding_error(tail, support)[0]
+    return _align(parent, child)[1]
 
 
 @dataclass(frozen=True)
@@ -123,21 +130,34 @@ class PreservationReport:
 
 
 def check_preservation(parent: NetworkDef, child: NetworkDef, n_samples: int, tol: float, seed: int = 0) -> PreservationReport:
-    """Compare parent and child outputs on random Gaussian inputs."""
+    """Compare parent and child outputs on random Gaussian inputs.
+
+    Each sample runs once through the leading layers the two nets share
+    (see ``crop_border_for``), and that output feeds the rest of each net;
+    the samples, crop and verdict are those of two full forward passes.
+    ``tol`` must be a finite number >= 0.
+    """
     if parent.input_shape != child.input_shape:
         raise ShapeError(f"input shapes differ: {parent.input_shape} vs {child.input_shape}")
     if n_samples < 1:
         raise ShapeError("n_samples must be >= 1")
-    border = crop_border_for(parent, child)
+    if not 0 <= tol < math.inf:  # also rejects NaN
+        raise ShapeError(f"tol must be a finite number >= 0, got {tol}")
+    head, border = _align(parent, child)
     _, h, w = parent.input_shape
     if h > 1 and w > 1 and (h - 2 * border <= 0 or w - 2 * border <= 0):
         raise ShapeError(f"crop border {border} leaves no interior on a {h}x{w} input")
+    shared, parent_rest, child_rest = (
+        (layers, [layer.params() for layer in layers])
+        for layers in (parent.layers[:head], parent.layers[head:], child.layers[head:])
+    )
     rng = make_rng(seed)
     max_dev = 0.0
     for _ in range(n_samples):
         x = rng.standard_normal(parent.input_shape)
-        pa = forward(parent, x)
-        ch = forward(child, x)
+        y = forward_pass(*shared, x[None])[0]
+        pa = forward_pass(*parent_rest, y)[0][0]
+        ch = forward_pass(*child_rest, y)[0][0]
         if pa.shape != ch.shape:
             raise ShapeError(f"output shapes differ: {pa.shape} vs {ch.shape}")
         if border > 0 and pa.shape[1] > 1 and pa.shape[2] > 1:

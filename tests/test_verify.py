@@ -10,6 +10,7 @@ from netmorph import (
     ParallelLayer,
     ShapeError,
     SubnetMorphRequest,
+    WidthMorphRequest,
     build_network,
     check_preservation,
     expand_kernel,
@@ -21,8 +22,10 @@ from netmorph import (
     occupancy,
     parse_arch,
     same_pad_conv,
+    widen,
 )
-from netmorph.verify import crop_border_for, param_stats, support_radius
+from netmorph import netdef
+from netmorph.verify import PreservationReport, crop_border_for, param_stats, support_radius
 
 
 def _net(seed=0, k=3, hw=8):
@@ -130,6 +133,17 @@ class TestCheckPreservation:
         assert np.isnan(report.max_abs_dev) and not report.pass_
         assert "max_abs_dev=nan" in report.to_text() and "pass=false" in report.to_text()
 
+    @pytest.mark.parametrize("tol", [np.inf, -1.0, np.nan], ids=["inf", "negative", "nan"])
+    def test_meaningless_tol_rejected(self, tol):
+        # tol=inf used to pass two unrelated nets; -1 and nan failed every pair
+        with pytest.raises(ShapeError, match="tol"):
+            check_preservation(_net(108), _net(109), n_samples=2, tol=tol)
+
+    def test_zero_tol_is_valid(self):
+        net = _net(108)
+        assert check_preservation(net, net, n_samples=2, tol=0.0).pass_
+        assert not check_preservation(net, _net(109), n_samples=2, tol=0.0).pass_
+
 
 def _depth_3x3_pair(seed=0):
     """A sigmoid net whose middle 5x5 conv is depth-morphed into two 3x3
@@ -200,6 +214,113 @@ class TestCropBorder:
         report = check_preservation(parent, depth(parent), n_samples=10, tol=1e-8)
         assert report.pass_ and report.crop_border == border
         assert check_preservation(plain, depth(plain), n_samples=10, tol=1e-8).crop_border == border
+
+
+def _reference_report(parent, child, n_samples, tol, seed=0):
+    """check_preservation's report from two full forward passes per sample,
+    with the same draws and the same crop."""
+    border = crop_border_for(parent, child)
+    rng = make_rng(seed)
+    dev = 0.0
+    for _ in range(n_samples):
+        x = rng.standard_normal(parent.input_shape)
+        pa, ch = forward(parent, x), forward(child, x)
+        if border > 0 and pa.shape[1] > 1 and pa.shape[2] > 1:
+            pa, ch = pa[:, border:-border, border:-border], ch[:, border:-border, border:-border]
+        dev = float(np.maximum(dev, np.abs(pa - ch).max()))
+    return PreservationReport(n_samples, dev, border, border == 0, dev <= tol, tol)
+
+
+def _sigmoid_net(seed=0):
+    return build_network(parse_arch("(3:4)(5:6)(3:4)"), (3, 12, 12), seed=seed, base="sigmoid")
+
+
+def _perturbed(net, i):
+    """``net`` with 0.1 added to one weight of conv layer i."""
+    layers = list(net.layers)
+    w = layers[i].weights.copy()
+    w[0, 0, 0, 0] += 0.1
+    layers[i] = same_pad_conv(w, bias=layers[i].bias)
+    return net.with_layers(layers)
+
+
+def _widen_pair():
+    parent = _sigmoid_net(1)
+    return parent, widen(parent, WidthMorphRequest(parent.conv_indices()[1], 9, seed=1))
+
+
+def _expand_last_pair():
+    parent = _sigmoid_net(2)
+    return parent, expand_kernel(parent, parent.conv_indices()[-1], 5)
+
+
+def _stacked_pair():
+    parent = _sigmoid_net(3)
+    req = SubnetMorphRequest(parent.conv_indices()[1], [[(5, 6)], [(3, 16), (3, 6)]], [0.5, 0.5], seed=3)
+    return parent, morph_stacked(parent, req)
+
+
+def _identical_pair():
+    return _sigmoid_net(4), _sigmoid_net(4)
+
+
+def _stack_in_head_pair():
+    plain = build_network(parse_arch("(3:8)(5:8)(3:4)"), (3, 12, 12), seed=5)
+    parent = morph_stacked(plain, SubnetMorphRequest(0, [[(3, 8)], [(3, 16), (1, 8)]], [0.5, 0.5], seed=1))
+    return parent, insert_depth(parent, DepthMorphRequest(plain.conv_indices()[1], c_l=24, k1=3, k2=3, seed=2))
+
+
+def _last_layer_pair():
+    parent = _net(6)
+    return parent, _perturbed(parent, len(parent.layers) - 1)
+
+
+class TestSharedHead:
+    """check_preservation runs the layers both nets share once per sample;
+    its report must be the one two full forward passes give."""
+
+    @pytest.mark.parametrize(
+        "pair",
+        [_widen_pair, _expand_last_pair, _depth_3x3_pair, _stacked_pair, _identical_pair, _stack_in_head_pair, _last_layer_pair],
+        ids=["widen", "expand-last", "depth-3x3", "stacked", "identical", "stack-in-head", "last-layer"],
+    )
+    def test_matches_two_full_forward_passes(self, pair):
+        parent, child = pair()
+        report = check_preservation(parent, child, n_samples=6, tol=1e-8, seed=7)
+        assert report.to_text() == _reference_report(parent, child, 6, 1e-8, seed=7).to_text()
+
+    def test_perturbed_would_be_head_layer_fails(self):
+        parent, child = _expand_last_pair()
+        child = _perturbed(child, child.conv_indices()[0])
+        report = check_preservation(parent, child, n_samples=5, tol=1e-8)
+        assert not report.pass_ and report.max_abs_dev > 1e-3
+        assert report.to_text() == _reference_report(parent, child, 5, 1e-8).to_text()
+
+    def test_non_finite_shared_head_reports_nan(self):
+        # The shared head (the NaN pair's child) outputs NaN; that output
+        # must reach both tails unchecked and be reported, not raise.
+        _, nan_net = nan_output_pair()
+        parent = nan_net.with_layers(list(nan_net.layers) + [same_pad_conv(make_rng(8).standard_normal((2, 4, 3, 3)))])
+        child = expand_kernel(parent, parent.conv_indices()[-1], 5)
+        with np.errstate(all="ignore"):
+            report = check_preservation(parent, child, n_samples=3, tol=1e-8)
+        assert np.isnan(report.max_abs_dev) and not report.pass_
+
+    def test_shared_head_runs_once_per_sample(self, monkeypatch):
+        parent = build_network(parse_arch("(3:4)(3:4)(3:4)"), (3, 8, 8), seed=9)
+        child = expand_kernel(parent, parent.conv_indices()[-1], 5)
+        calls = []
+
+        def counting(x, f, pad, conv_batch=netdef.conv_batch):
+            calls.append(f.shape)
+            return conv_batch(x, f, pad)
+
+        monkeypatch.setattr(netdef, "conv_batch", counting)
+        assert check_preservation(parent, child, n_samples=5, tol=1e-8).pass_
+        # per sample: the two shared convs once, then each net's last conv
+        # (both nets in full would be 5 * (3 + 3) = 30)
+        assert len(calls) == 20
+
 
 class TestOccupancy:
     def test_identity_filter_counts(self):
