@@ -118,13 +118,12 @@ def build_network(
     seed: int = 0,
     activations: bool = True,
     base: str = "relu",
-    a: float = 0.0,
 ) -> NetworkDef:
     """Materialize a skeleton into a NetworkDef with initialized weights.
 
     ``init`` is "gaussian" (std 1/sqrt(fan_in * k^2)) or "zeros".  Each
-    conv layer is followed by PActLayer(base, a) unless ``activations``
-    is False.
+    conv layer is followed by PActLayer(base, a=0), the plain
+    activation, unless ``activations`` is False.
     """
     rng = make_rng(seed)
     layers = []
@@ -142,6 +141,6 @@ def build_network(
             raise ValueError(f"unknown init {init!r}")
         layers.append(same_pad_conv(w))
         if activations:
-            layers.append(PActLayer(base=base, a=a))
+            layers.append(PActLayer(base=base, a=0.0))
         c_in = spec.channels
     return NetworkDef(input_shape=tuple(input_shape), layers=layers)

@@ -12,6 +12,7 @@ to the requested kernel afterwards, trading outer-ring sparsity for
 guaranteed convergence in the expanding regime.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +24,11 @@ from .tensor_ops import as_filter, lstsq_factor_step, pad_filter
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 20
+
+
+def _check_tol(tol):
+    if not 0 < tol < math.inf:  # also rejects NaN
+        raise ShapeError(f"tol must be a finite number > 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -40,8 +46,7 @@ class DepthMorphRequest:
             raise ShapeError(f"new hidden width must be >= 1, got {self.c_l}")
         if self.k1 < 1 or self.k1 % 2 == 0 or self.k2 < 1 or self.k2 % 2 == 0:
             raise ShapeError(f"factor kernels must be odd and >= 1, got k1={self.k1}, k2={self.k2}")
-        if self.tol <= 0:
-            raise ShapeError("tol must be positive")
+        _check_tol(self.tol)
         if self.max_iter < 1:
             raise ShapeError("max_iter must be >= 1")
 
@@ -183,6 +188,11 @@ def _depth_child(net: NetworkDef, req: DepthMorphRequest, algorithm: str):
     if solver is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     outcome = solver(target.weights, req)
+    if not outcome.residual <= req.tol:  # also rejects a NaN residual
+        raise InfeasibleMorphError(
+            f"depth morph did not converge: residual {outcome.residual:.3e} > tol {req.tol:g} "
+            f"after {outcome.iterations} iterations"
+        )
     layers[i : i + 1] = factor_chain(layers, i, [outcome.f_lo, outcome.f_hi], target.bias)
     return net.with_layers(layers), outcome
 
@@ -191,7 +201,9 @@ def insert_depth(net: NetworkDef, req: DepthMorphRequest, algorithm: str = "prac
     """Replace conv layer ``layer_index`` by the factor pair with an
     identity-parameter activation between them.  The lower conv gets zero
     bias, the upper conv inherits the parent bias, and any activation
-    already following the parent layer is retained unchanged."""
+    already following the parent layer is retained unchanged.  Either
+    algorithm raises InfeasibleMorphError when its residual ends above
+    ``req.tol``."""
     return _depth_child(net, req, algorithm)[0]
 
 

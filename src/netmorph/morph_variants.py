@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleMorphError, ShapeError
-from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _check_parity, _conv_at, factor_chain, morph_practical
+from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _check_parity, _check_tol, _conv_at, factor_chain, morph_practical
 from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer, pact_eval, same_pad_conv
 from .rng import make_rng
 from .tensor_ops import as_filter, pad_filter
@@ -48,6 +48,7 @@ class SubnetMorphRequest:
         if len(self.path_specs) != len(self.split_weights):
             raise ShapeError("one split weight per path is required")
         _check_split_weights(self.split_weights)
+        _check_tol(self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +152,15 @@ def morph_sequential(g, widths, kernels, seed: int = 0, tol: float = DEFAULT_TOL
     then ``H1`` becomes ``F2 ∘ H2``, and so on.  Peel ``p`` is seeded with
     ``seed + p`` and must reach relative residual ``tol``; a peel where
     neither side can absorb its target raises ``InfeasibleMorphError``
-    naming that peel.
+    naming that peel.  The last factor is zero-padded to the last kernel,
+    so a one-kernel chain is ``g`` grown to that kernel.
     """
     g = as_filter(g)
     kernels = [int(v) for v in kernels]
     widths = [int(v) for v in widths]
     n = len(kernels)
-    if n < 2:
-        raise ShapeError("a sequential morph needs at least two layers")
+    if n < 1:
+        raise ShapeError("a sequential morph needs at least one layer")
     if len(widths) != n - 1:
         raise ShapeError(f"{n} kernels need {n - 1} widths, got {len(widths)}")
     if any(v < 1 for v in widths):
@@ -176,7 +178,7 @@ def morph_sequential(g, widths, kernels, seed: int = 0, tol: float = DEFAULT_TOL
             raise InfeasibleMorphError(f"sequential morph peel {p} of {n - 1}: {exc}") from exc
         factors.append(outcome.f_lo)
         rest = outcome.f_hi
-    factors.append(rest)
+    factors.append(pad_filter(rest, kernels[-1]))
     return factors
 
 
@@ -211,16 +213,9 @@ def morph_stacked(net: NetworkDef, req: SubnetMorphRequest) -> NetworkDef:
     parts = split_stacked(target.weights, req.split_weights)
     paths = []
     for p, (g_i, spec) in enumerate(zip(parts, req.path_specs)):
-        if len(spec) == 1:
-            factors = [pad_filter(g_i, spec[0][0])]
-        else:
-            factors = morph_sequential(
-                g_i,
-                widths=[c for _, c in spec[:-1]],
-                kernels=[kk for kk, _ in spec],
-                seed=req.seed + p,
-                tol=req.tol,
-            )
+        factors = morph_sequential(
+            g_i, widths=[c for _, c in spec[:-1]], kernels=[kk for kk, _ in spec], seed=req.seed + p, tol=req.tol
+        )
         bias = target.bias if p == 0 else np.zeros(target.c_out)
         paths.append(tuple(factor_chain(layers, req.layer_index, factors, bias)))
 

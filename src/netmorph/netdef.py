@@ -12,7 +12,8 @@ A network is an ordered chain of layers over (c, h, w) blobs:
   input blob and summed channel-wise (the stacked-subnet construct).
 
 Layers are immutable after construction; every transformation builds a
-new network.
+new network.  Layers and networks compare by value: two convs are equal
+when their weights (shape and values), bias and ``fc`` hint are.
 
 Every layer type runs batched (n, c, h, w) arrays through one engine:
 ``params()`` gives its parameter dict p, ``forward(x, p)`` returns the
@@ -87,7 +88,7 @@ def pact_grad(base: str, a: float, x):
 # layers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvLayer:
     weights: np.ndarray  # (c_out, c_in, k, k)
     bias: np.ndarray  # (c_out,)
@@ -109,6 +110,12 @@ class ConvLayer:
         b.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
+
+    def __eq__(self, other):
+        if type(other) is not ConvLayer:
+            return NotImplemented
+        # array_equal is False on a shape mismatch; pad follows the kernel
+        return self.fc == other.fc and np.array_equal(self.weights, other.weights) and np.array_equal(self.bias, other.bias)
 
     @property
     def c_out(self):

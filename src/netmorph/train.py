@@ -11,6 +11,7 @@ separate dense-layer code path.
 
 import copy
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .rng import make_rng
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
+_CHUNK = 256  # items per forward pass in ``predictions``
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,16 @@ class TrainConfig:
     a_learning_rate: float = 0.01
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ShapeError("learning_rate must be >= 0")
+        for name in ("learning_rate", "a_learning_rate"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # also rejects NaN
+                raise ShapeError(f"{name} must be a finite number >= 0, got {value}")
+        if not math.isfinite(self.momentum):
+            raise ShapeError(f"momentum must be a finite number, got {self.momentum}")
         if self.batch_size < 1:
             raise ShapeError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ShapeError("epochs must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +192,16 @@ def train_sgd(net: NetworkDef, dataset: Dataset, cfg: TrainConfig):
     return state.to_network(), trace
 
 
-def evaluate(net: NetworkDef, dataset: Dataset, batch_size: int = 256) -> float:
+def evaluate(net: NetworkDef, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions."""
-    return float((predictions(net, dataset, batch_size) == np.asarray(dataset.labels)).mean())
+    return float((predictions(net, dataset) == np.asarray(dataset.labels)).mean())
 
 
-def predictions(net: NetworkDef, dataset: Dataset, batch_size: int = 256) -> np.ndarray:
+def predictions(net: NetworkDef, dataset: Dataset) -> np.ndarray:
     """Argmax class predictions for every dataset item."""
     x_all = _shaped_images(net, dataset.images)
     preds = []
-    for start in range(0, len(dataset), batch_size):
-        out = forward_batch(net, x_all[start : start + batch_size])
+    for start in range(0, len(dataset), _CHUNK):
+        out = forward_batch(net, x_all[start : start + _CHUNK])
         preds.append(out.reshape(out.shape[0], -1).argmax(axis=1))
     return np.concatenate(preds)

@@ -34,23 +34,6 @@ def support_radius(f) -> int:
     return int(np.maximum(abs(rows - half), abs(cols - half)).max(initial=0))
 
 
-def _layers_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, ConvLayer):
-        return (
-            a.weights.shape == b.weights.shape
-            and np.array_equal(a.weights, b.weights)
-            and np.array_equal(a.bias, b.bias)
-        )
-    if isinstance(a, ParallelLayer):
-        return len(a.paths) == len(b.paths) and all(
-            len(p) == len(q) and all(_layers_equal(x, y) for x, y in zip(p, q))
-            for p, q in zip(a.paths, b.paths)
-        )
-    return a == b
-
-
 def _padding_error(layers, support=0):
     """Return (border, support) for ``layers`` reading a blob of upstream
     support radius ``support``: the border width on which they differ from
@@ -81,8 +64,8 @@ def _align(parent: NetworkDef, child: NetworkDef):
     share, and the crop border described in ``crop_border_for``."""
     pa, ch = parent.layers, child.layers
     n = min(len(pa), len(ch))
-    head = next((i for i in range(n) if not _layers_equal(pa[i], ch[i])), n)
-    tail = next((i for i in range(n) if not _layers_equal(pa[-1 - i], ch[-1 - i])), n)
+    head = next((i for i in range(n) if pa[i] != ch[i]), n)
+    tail = next((i for i in range(n) if pa[-1 - i] != ch[-1 - i]), n)
     start = min(head, n - tail)  # the changed block lies between head and tail, which may overlap
     block, support = _padding_error(ch[start : len(ch) - tail])
     block -= _padding_error(pa[start : len(pa) - tail])[0]

@@ -345,6 +345,27 @@ class TestTrainEval:
         assert code == EXIT_USAGE
         assert "error=dataset items" in stderr
 
+    @pytest.mark.parametrize(
+        "option, value, name",
+        [
+            ("--lr", "nan", "learning_rate"),
+            ("--lr", "-0.1", "learning_rate"),
+            ("--a-lr", "nan", "a_learning_rate"),
+            ("--momentum", "inf", "momentum"),
+            ("--epochs", "-1", "epochs"),
+        ],
+    )
+    def test_bad_train_setting_exits_2(self, option, value, name, idx_dir, tmp_path, capsys):
+        net, out = tmp_path / "net.nmph", tmp_path / "trained.nmph"
+        run(capsys, "parse", "--arch", "(1:10)", "--input-shape", "16,1,1", "-o", str(net))
+        code, stdout, stderr = run(
+            capsys, "train", "-i", str(net), "--data-dir", str(idx_dir),
+            "--epochs", "1", "--batch", "10", option, value, "-o", str(out),
+        )
+        assert code == EXIT_USAGE
+        assert stdout == "" and stderr.startswith(f"error={name} must be")
+        assert not out.exists()
+
     def test_missing_data_dir_exits_2(self, tmp_path, capsys):
         net = tmp_path / "net.nmph"
         run(capsys, "parse", "--arch", "(1:10)", "--input-shape", "16,1,1", "-o", str(net))

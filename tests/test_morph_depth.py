@@ -10,6 +10,7 @@ from netmorph import (
     NetworkDef,
     PActLayer,
     ShapeError,
+    build_network,
     check_preservation,
     compose_filters,
     converge_condition,
@@ -18,9 +19,12 @@ from netmorph import (
     morph_general,
     morph_practical,
     pad_filter,
+    parse_arch,
     rebalance,
     same_pad_conv,
 )
+
+from test_verify import _net as verify_net
 
 
 class TestConvergeCondition:
@@ -51,6 +55,11 @@ class TestRequestValidation:
     def test_bad_tol_rejected(self):
         with pytest.raises(ShapeError):
             DepthMorphRequest(layer_index=0, c_l=1, k1=1, k2=1, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_meaningless_tol_rejected(self, tol):
+        with pytest.raises(ShapeError, match="tol must be a finite number > 0"):
+            DepthMorphRequest(layer_index=0, c_l=1, k1=1, k2=1, tol=tol)
 
 
 class TestMorphGeneral:
@@ -281,6 +290,23 @@ class TestInsertDepth:
         lo, _, hi = child.layers
         assert lo.weights.shape == (128, 3, 5, 5)
         assert hi.weights.shape == (32, 128, 1, 1)
+
+    @pytest.mark.parametrize(
+        "make_parent, req",
+        [
+            # converge_condition fails: the lower factor has 72 of the 200 entries it needs
+            (lambda: verify_net(111), DepthMorphRequest(layer_index=0, c_l=4, k1=3, k2=3, seed=0)),
+            (
+                lambda: build_network(parse_arch("(5:8)(3:8)"), (3, 12, 12), seed=1),
+                DepthMorphRequest(layer_index=0, c_l=2, k1=3, k2=3, seed=1),
+            ),
+        ],
+        ids=["c_l=4", "c_l=2"],
+    )
+    def test_unconverged_general_child_raises(self, make_parent, req):
+        parent = make_parent()
+        with pytest.raises(InfeasibleMorphError, match=r"did not converge: residual .* > tol 1e-08 after 20 iterations"):
+            insert_depth(parent, req, algorithm="general")
 
     def test_non_conv_target_raises(self):
         parent = self._parent(46)

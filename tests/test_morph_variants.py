@@ -246,6 +246,12 @@ class TestMorphSequential:
         with pytest.raises(InfeasibleMorphError, match="peel 1"):
             morph_sequential(g, widths=[32, 1], kernels=[3, 3, 1], seed=0)
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_one_kernel_chain_is_padded_target(self, k):
+        g = make_rng(76).standard_normal((4, 3, 3, 3))
+        (f,) = morph_sequential(g, [], [k])
+        assert np.array_equal(f, pad_filter(g, k))
+
     def test_width_count_validated(self):
         with pytest.raises(ShapeError):
             morph_sequential(np.zeros((1, 1, 1, 1)), widths=[1, 1], kernels=[1, 1], seed=0)
@@ -272,6 +278,12 @@ class TestSplitStacked:
     def test_non_finite_weights_raise(self, weights):
         with pytest.raises(ShapeError):
             split_stacked(np.zeros((1, 1, 1, 1)), weights)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_subnet_request_rejects_meaningless_tol(tol):
+    with pytest.raises(ShapeError, match="tol must be a finite number > 0"):
+        SubnetMorphRequest(0, [[(5, 8)], [(7, 8)]], [0.5, 0.5], tol=tol)
 
 
 class TestMorphStacked:

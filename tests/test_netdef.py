@@ -10,11 +10,14 @@ from netmorph import (
     ParallelLayer,
     ShapeError,
     compose_filters,
+    deserialize,
     forward,
     make_rng,
     pact_eval,
     pact_grad,
+    pad_filter,
     same_pad_conv,
+    serialize,
 )
 
 
@@ -119,6 +122,63 @@ class TestLayers:
                     )
                 ],
             )
+
+
+def _equality_net(seed=0):
+    """conv -> pact -> two-path stack (one path nested) -> fc conv."""
+    rng = make_rng(seed)
+    conv = same_pad_conv(rng.standard_normal((3, 2, 3, 3)), bias=rng.standard_normal(3))
+    inner = ParallelLayer(
+        paths=((same_pad_conv(rng.standard_normal((4, 3, 1, 1))),), (same_pad_conv(np.zeros((4, 3, 3, 3))),))
+    )
+    stack = ParallelLayer(
+        paths=((same_pad_conv(rng.standard_normal((4, 3, 3, 3))),), (inner, PActLayer(base="sigmoid", a=0.5)))
+    )
+    fc = same_pad_conv(rng.standard_normal((2, 4, 1, 1)), bias=rng.standard_normal(2), fc=True)
+    return NetworkDef(input_shape=(2, 5, 5), layers=[conv, PActLayer(base="tanh", a=0.25), stack, fc])
+
+
+def _changed_conv(layer, what):
+    if what == "weight":
+        w = layer.weights.copy()
+        w.flat[-1] = np.nextafter(w.flat[-1], np.inf)
+        return same_pad_conv(w, bias=layer.bias, fc=layer.fc)
+    if what == "bias":
+        return same_pad_conv(layer.weights, bias=layer.bias + 1.0, fc=layer.fc)
+    return same_pad_conv(layer.weights, bias=layer.bias, fc=not layer.fc)
+
+
+class TestValueEquality:
+    def test_deserialized_twin_is_equal(self):
+        net = _equality_net(1)
+        twin = deserialize(serialize(net))
+        assert twin == net and not twin != net
+        for a, b in zip(twin.layers, net.layers):
+            assert a is not b and a == b
+        assert twin.layers[2].paths[1][0] == net.layers[2].paths[1][0]  # nested stack
+
+    @pytest.mark.parametrize("what", ["weight", "bias", "fc"])
+    def test_one_change_breaks_equality(self, what):
+        net = _equality_net(2)
+        twin = deserialize(serialize(net))
+        conv = _changed_conv(twin.layers[0], what)
+        assert conv != net.layers[0] and not conv == net.layers[0]
+        assert twin.with_layers([conv, *twin.layers[1:]]) != net
+
+        path = twin.layers[2].paths[0]
+        stack = ParallelLayer(paths=((_changed_conv(path[0], what),), twin.layers[2].paths[1]))
+        assert stack != net.layers[2]
+        assert twin.with_layers([*twin.layers[:2], stack, twin.layers[3]]) != net
+
+    def test_kernel_growth_breaks_equality(self):
+        conv = _equality_net(3).layers[0]
+        grown = same_pad_conv(pad_filter(conv.weights, 5), bias=conv.bias)
+        assert grown != conv
+
+    def test_other_layer_types_compare_unequal(self):
+        net = _equality_net(4)
+        assert net.layers[0] != net.layers[1] and net.layers[1] != net.layers[0]
+        assert net.layers[0] != net.layers[2] and net.layers[0] != "conv"
 
 
 class TestForward:

@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmorph import (
     FormatError,
@@ -19,6 +21,7 @@ from netmorph import (
     save,
     serialize,
 )
+from netmorph.netdef import BASES
 
 
 def _sample_net(seed=0):
@@ -71,6 +74,49 @@ def test_parallel_layer_round_trip():
     assert isinstance(back.layers[0], ParallelLayer)
     assert np.array_equal(back.layers[0].paths[1][0].weights, net.layers[0].paths[1][0].weights)
     assert serialize(back) == serialize(net)
+
+
+@st.composite
+def small_nets(draw):
+    """Nets of convs (either ``fc`` value), PActs of every base with a in
+    [0, 1], and stacks whose paths may hold stacks of their own."""
+    rng = make_rng(draw(st.integers(0, 2**16)))
+
+    def conv(c_out, c_in, k):
+        w = rng.standard_normal((c_out, c_in, k, k))
+        return same_pad_conv(w, bias=rng.standard_normal(c_out), fc=draw(st.booleans()))
+
+    def chain(c, depth):
+        layers = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["conv", "pact", "stack"][: 3 if depth < 2 else 2]))
+            if kind == "pact":
+                layers.append(PActLayer(base=draw(st.sampled_from(BASES)), a=draw(st.floats(0.0, 1.0))))
+                continue
+            c_out = draw(st.integers(1, 3))
+            if kind == "conv":
+                layers.append(conv(c_out, c, draw(st.sampled_from([1, 3]))))
+            else:
+                paths = []
+                for _ in range(draw(st.integers(1, 3))):
+                    path, c_path = chain(c, depth + 1)
+                    paths.append((*path, conv(c_out, c_path, 1)))  # every path ends at c_out channels
+                layers.append(ParallelLayer(paths=tuple(paths)))
+            c = c_out
+        return layers, c
+
+    c_in = draw(st.integers(1, 3))
+    hw = draw(st.integers(1, 4))
+    return NetworkDef(input_shape=(c_in, hw, hw), layers=chain(c_in, 0)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_nets())
+def test_round_trip_gives_an_equal_net(net):
+    data = serialize(net)
+    back = deserialize(data)
+    assert back == net
+    assert serialize(back) == data
 
 
 def test_magic_starts_the_file():

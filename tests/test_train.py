@@ -220,6 +220,33 @@ class TestGradients:
         assert checked == ["w", "b", "a", "0.0.w", "0.0.b", "1.0.w", "1.0.b", "1.1.a", "1.2.w", "1.2.b"]
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"learning_rate": -0.1},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"a_learning_rate": -0.1},
+            {"a_learning_rate": float("nan")},
+            {"a_learning_rate": float("inf")},
+            {"momentum": float("nan")},
+            {"momentum": float("inf")},
+            {"momentum": float("-inf")},
+            {"epochs": -1},
+            {"batch_size": 0},
+        ],
+        ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()),
+    )
+    def test_meaningless_setting_rejected(self, setting):
+        with pytest.raises(ShapeError):
+            TrainConfig(**setting)
+
+    def test_boundary_settings_accepted(self):
+        cfg = TrainConfig(learning_rate=0.0, a_learning_rate=0.0, momentum=-0.5, epochs=0)
+        assert cfg.epochs == 0
+
+
 class TestTrainSgd:
     def _toy_separable(self, n=100, seed=3):
         rng = make_rng(seed)

@@ -161,7 +161,7 @@ class TestCropBorder:
     def test_kernel_growth_plus_downstream_spread(self):
         parent = _net(111)
         child = insert_depth(
-            parent, DepthMorphRequest(layer_index=0, c_l=4, k1=3, k2=3, seed=0), algorithm="general"
+            parent, DepthMorphRequest(layer_index=0, c_l=12, k1=3, k2=3, seed=0), algorithm="general"
         )
         border = crop_border_for(parent, child)
         # head growth from the composed 3+3 pair, spread by the trailing 3x3 conv
