@@ -26,7 +26,6 @@ from .morph_variants import (
     expand_kernel,
     morph_sequential,
     morph_stacked,
-    split_stacked,
     widen,
 )
 from .netdef import (
@@ -44,12 +43,11 @@ from .serialize import deserialize, load, save, serialize
 from .tensor_ops import (
     compose_filters,
     conv_mc,
-    crop_filter,
     identity_filter,
     lstsq_factor_step,
     pad_filter,
 )
 from .train import Dataset, TrainConfig, evaluate, load_mnist_idx, predictions, train_sgd
-from .verify import OccupancyStats, PreservationReport, check_preservation, occupancy, param_stats
+from .verify import OccupancyStats, PreservationReport, check_preservation, occupancy
 
 __version__ = "0.1.0"

@@ -186,14 +186,6 @@ def morph_sequential(g, widths, kernels, seed: int = 0, tol: float = DEFAULT_TOL
 # stacked subnet morphing
 
 
-def split_stacked(g, weights):
-    """Split a filter into weighted copies summing back to the original."""
-    g = as_filter(g)
-    weights = [float(w) for w in weights]
-    _check_split_weights(weights)
-    return [w * g for w in weights]
-
-
 def morph_stacked(net: NetworkDef, req: SubnetMorphRequest) -> NetworkDef:
     """Replace one conv layer by parallel sequential paths whose outputs
     sum to the parent layer's output (interior region for kernel growth)."""
@@ -210,11 +202,10 @@ def morph_stacked(net: NetworkDef, req: SubnetMorphRequest) -> NetworkDef:
     if len(req.path_specs) == 1 and len(req.path_specs[0]) == 1 and req.path_specs[0][0][0] == k:
         return net  # degenerate one-way stack of the original layer
 
-    parts = split_stacked(target.weights, req.split_weights)
     paths = []
-    for p, (g_i, spec) in enumerate(zip(parts, req.path_specs)):
+    for p, (w, spec) in enumerate(zip(req.split_weights, req.path_specs)):
         factors = morph_sequential(
-            g_i, widths=[c for _, c in spec[:-1]], kernels=[kk for kk, _ in spec], seed=req.seed + p, tol=req.tol
+            w * target.weights, widths=[c for _, c in spec[:-1]], kernels=[kk for kk, _ in spec], seed=req.seed + p, tol=req.tol
         )
         bias = target.bias if p == 0 else np.zeros(target.c_out)
         paths.append(tuple(factor_chain(layers, req.layer_index, factors, bias)))

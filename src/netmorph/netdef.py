@@ -19,7 +19,9 @@ Every layer type runs batched (n, c, h, w) arrays through one engine:
 ``params()`` gives its parameter dict p, ``forward(x, p)`` returns the
 output and a cache, and ``backward(cache, dy, p)`` maps the loss gradient
 at the output to the gradient at the input plus a gradient dict keyed
-like p.  ``forward``, the trainer and the verification oracle all use it.
+like p.  ``forward_pass`` runs a layer list through it; ``forward_batch``
+runs a whole net on a batch (``forward`` is its one-blob case), and the
+trainer and the verification oracle call ``forward_pass`` directly.
 """
 
 from dataclasses import dataclass, field, replace
@@ -96,8 +98,9 @@ class ConvLayer:
     fc: bool = False
 
     def __post_init__(self):
-        w = as_filter(self.weights)
-        b = np.asarray(self.bias, dtype=np.float64)
+        # the layer owns its arrays: copy, then freeze the copies
+        w = as_filter(np.array(self.weights, dtype=np.float64))
+        b = np.array(self.bias, dtype=np.float64)
         if b.ndim != 1 or b.shape[0] != w.shape[0]:
             raise ShapeError(f"bias length {b.shape} does not match {w.shape[0]} output channels")
         if not np.all(np.isfinite(b)):
@@ -133,7 +136,7 @@ class ConvLayer:
         return {"w": self.weights, "b": self.bias}
 
     def with_params(self, p):
-        return replace(self, weights=np.array(p["w"]), bias=np.array(p["b"]))
+        return replace(self, weights=p["w"], bias=p["b"])
 
     def forward(self, x, p):
         return conv_batch(x, p["w"], self.pad) + p["b"][:, None, None], x
@@ -294,9 +297,14 @@ class NetworkDef:
         return replace(self, layers=tuple(layers))
 
 
+def forward_batch(net: NetworkDef, x) -> np.ndarray:
+    """Batched forward pass; x has shape (n,) + net.input_shape."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[1:] != net.input_shape:
+        raise ShapeError(f"batch item shape {x.shape[1:]} does not match network input {net.input_shape}")
+    return forward_pass(net.layers, [l.params() for l in net.layers], x)[0]
+
+
 def forward(net: NetworkDef, blob) -> np.ndarray:
     """Run the network on one blob and return the final blob."""
-    blob = as_blob(blob)
-    if blob.shape != net.input_shape:
-        raise ShapeError(f"input shape {blob.shape} does not match network input {net.input_shape}")
-    return forward_pass(net.layers, [l.params() for l in net.layers], blob[None])[0][0]
+    return forward_batch(net, as_blob(blob)[None])[0]

@@ -96,7 +96,7 @@ class _TensorReader:
         if end > len(self.payload):
             raise FormatError(f"tensor at offset {offset} declares {n} values but the payload is truncated")
         data = np.frombuffer(self.payload[start:end], dtype="<f8")
-        return data.reshape(dims).astype(np.float64)
+        return data.reshape(dims)
 
 
 def _layer_from_manifest(entry, reader: _TensorReader):
@@ -106,7 +106,11 @@ def _layer_from_manifest(entry, reader: _TensorReader):
         bias = reader.read(entry["bias"]).reshape(-1)
         if weights.shape != (entry["c_out"], entry["c_in"], entry["kernel"], entry["kernel"]):
             raise FormatError(f"conv tensor shape {weights.shape} disagrees with its manifest entry")
-        return ConvLayer(weights=weights, bias=bias, pad=entry["pad"], fc=entry.get("fc", False))
+        pad, fc = entry["pad"], entry.get("fc", False)
+        # bool is an int subclass, so the exact types are tested
+        if type(pad) is not int or type(fc) is not bool:
+            raise TypeError(f"conv pad must be an integer and fc a boolean, got pad={pad!r} fc={fc!r}")
+        return ConvLayer(weights=weights, bias=bias, pad=pad, fc=fc)
     if kind == "pact":
         return PActLayer(base=entry["base"], a=entry["a"])
     if kind == "parallel":

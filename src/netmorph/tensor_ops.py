@@ -1,5 +1,6 @@
 """Dense tensor kernels: multi-channel convolution, filter composition,
-centered zero padding, and the least-squares factor solve.
+centered zero padding, the channel-identity filter, and the least-squares
+factor solve.
 
 Conventions used throughout the package:
 
@@ -37,7 +38,6 @@ __all__ = [
     "conv_batch_grads",
     "compose_filters",
     "pad_filter",
-    "crop_filter",
     "lstsq_factor_step",
     "identity_filter",
 ]
@@ -178,18 +178,6 @@ def pad_filter(g, k_target: int) -> np.ndarray:
     if m == 0:
         return g.copy()
     return np.pad(g, ((0, 0), (0, 0), (m, m), (m, m)))
-
-
-def crop_filter(g, k_target: int) -> np.ndarray:
-    """Centered crop of a filter's kernel to ``k_target`` (inverse of pad_filter)."""
-    g = as_filter(g)
-    k = g.shape[2]
-    if k_target > k:
-        raise ShapeError(f"cannot crop kernel {k} to larger {k_target}")
-    if (k - k_target) % 2 != 0:
-        raise ShapeError(f"kernel crop {k}->{k_target} parity mismatch")
-    m = (k - k_target) // 2
-    return g[:, :, m : k - m, m : k - m].copy()
 
 
 def identity_filter(c: int, k: int) -> np.ndarray:

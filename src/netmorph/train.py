@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .netdef import NetworkDef, backward_pass, forward_pass
+from .netdef import NetworkDef, backward_pass, forward_batch, forward_pass
 from .rng import make_rng
 
 IMAGES_MAGIC = 0x00000803
@@ -65,13 +65,6 @@ class TrainConfig:
 # MNIST IDX ingestion
 
 
-def _read_exact(fh, n, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated IDX file: expected {n} bytes of {what}, got {len(data)}")
-    return data
-
-
 def _open_idx(path):
     """Open an IDX file, transparently decompressing gzip."""
     fh = open(path, "rb")
@@ -82,41 +75,43 @@ def _open_idx(path):
     return fh
 
 
+def _read_idx(path, magic, ndim, what):
+    """Return the ``ndim`` header dims and the payload of an IDX file.
+
+    The whole file is read once and its length checked against the header's
+    dims as Python ints, so a header that declares more data than the file
+    holds is rejected without allocating that much.
+    """
+    with _open_idx(path) as fh:
+        data = fh.read()
+    start = 4 * (1 + ndim)
+    if len(data) < start:
+        raise FormatError(f"truncated IDX file: {what} header needs {start} bytes, got {len(data)}")
+    found, *dims = struct.unpack(f">{1 + ndim}i", data[:start])
+    if found != magic:
+        raise FormatError(f"bad magic {found:#010x} in {what} file (expected {magic:#010x})")
+    if min(dims) <= 0:
+        raise FormatError(f"bad {what} dimensions {'x'.join(map(str, dims))}")
+    size, have = math.prod(dims), len(data) - start
+    if have < size:
+        raise FormatError(f"truncated IDX file: expected {size} bytes of {what}, got {have}")
+    if have > size:
+        raise FormatError(f"trailing bytes after {what} payload")
+    return dims, memoryview(data)[start:]
+
+
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Load an images/labels IDX pair; pixels are scaled to [0, 1]."""
-    with _open_idx(images_path) as fh:
-        magic, count, rows, cols = struct.unpack(">4i", _read_exact(fh, 16, "image header"))
-        if magic != IMAGES_MAGIC:
-            raise FormatError(f"bad magic {magic:#010x} in images file (expected {IMAGES_MAGIC:#010x})")
-        if min(count, rows, cols) <= 0:
-            raise FormatError(f"bad image dimensions {count}x{rows}x{cols}")
-        raw = _read_exact(fh, count * rows * cols, "pixels")
-        if fh.read(1):
-            raise FormatError("trailing bytes after image payload")
+    (count, rows, cols), raw = _read_idx(images_path, IMAGES_MAGIC, 3, "images")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols).astype(np.float64) / 255.0
-
-    with _open_idx(labels_path) as fh:
-        magic, lcount = struct.unpack(">2i", _read_exact(fh, 8, "label header"))
-        if magic != LABELS_MAGIC:
-            raise FormatError(f"bad magic {magic:#010x} in labels file (expected {LABELS_MAGIC:#010x})")
-        if lcount != count:
-            raise FormatError(f"dimension mismatch: {count} images but {lcount} labels")
-        labels = np.frombuffer(_read_exact(fh, lcount, "labels"), dtype=np.uint8).astype(np.int64)
-        if fh.read(1):
-            raise FormatError("trailing bytes after label payload")
-    return Dataset(images=images, labels=labels)
+    (lcount,), raw = _read_idx(labels_path, LABELS_MAGIC, 1, "labels")
+    if lcount != count:
+        raise FormatError(f"dimension mismatch: {count} images but {lcount} labels")
+    return Dataset(images=images, labels=np.frombuffer(raw, dtype=np.uint8).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
 # batched forward / backward
-
-
-def forward_batch(net: NetworkDef, x) -> np.ndarray:
-    """Batched forward pass; x has shape (n,) + net.input_shape."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != net.input_shape:
-        raise ShapeError(f"batch item shape {x.shape[1:]} does not match network input {net.input_shape}")
-    return forward_pass(net.layers, [l.params() for l in net.layers], x)[0]
 
 
 class _TrainState:

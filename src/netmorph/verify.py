@@ -1,5 +1,5 @@
 """Verification oracle: function-preservation checking plus filter
-occupancy and parameter-scale statistics.
+occupancy.
 
 Preservation is checked pointwise on random Gaussian inputs.  Parent and
 child are aligned from both ends; the layers in front of the changed block
@@ -164,9 +164,6 @@ class OccupancyStats:
     nonzero: int
     fraction: float
 
-    def to_text(self) -> str:
-        return f"total={self.total}\nnonzero={self.nonzero}\nfraction={self.fraction:.6e}"
-
 
 def occupancy(f) -> OccupancyStats:
     """Fraction of filter entries that are structurally nonzero."""
@@ -174,20 +171,3 @@ def occupancy(f) -> OccupancyStats:
     nonzero = int(np.count_nonzero(np.abs(f) > ZERO_THRESHOLD))
     total = int(f.size)
     return OccupancyStats(total=total, nonzero=nonzero, fraction=nonzero / total if total else 0.0)
-
-
-def param_stats(f, bins: int = 64):
-    """Sample mean, standard deviation, and a fixed-bin histogram over
-    [min, max] of the filter entries."""
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
-    if f.size == 0:
-        raise ShapeError("cannot compute statistics of an empty tensor")
-    mean = float(f.mean())
-    std = float(f.std())
-    lo, hi = float(f.min()), float(f.max())
-    if lo == hi:
-        counts = np.zeros(bins, dtype=np.int64)
-        counts[0] = f.size
-    else:
-        counts, _ = np.histogram(f, bins=bins, range=(lo, hi))
-    return mean, std, counts

@@ -7,7 +7,7 @@ from netmorph import DepthMorphRequest, insert_depth, load, morph_general, morph
 from netmorph.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 from test_serialize import INVALID_LAYERS, _sample_net, rewrite_manifest
-from test_train import write_idx_pair
+from test_train import OVERSIZED_IMAGES, write_idx_pair
 from test_verify import nan_output_pair
 
 
@@ -365,6 +365,14 @@ class TestTrainEval:
         assert code == EXIT_USAGE
         assert stdout == "" and stderr.startswith(f"error={name} must be")
         assert not out.exists()
+
+    def test_oversized_idx_header_exits_2(self, idx_dir, tmp_path, capsys):
+        (idx_dir / "t10k-images-idx3-ubyte").write_bytes(OVERSIZED_IMAGES)
+        net = tmp_path / "net.nmph"
+        run(capsys, "parse", "--arch", "(1:10)", "--input-shape", "16,1,1", "-o", str(net))
+        code, _, stderr = run(capsys, "eval", "-i", str(net), "--data-dir", str(idx_dir))
+        assert code == EXIT_USAGE
+        assert stderr.startswith("error=truncated")
 
     def test_missing_data_dir_exits_2(self, tmp_path, capsys):
         net = tmp_path / "net.nmph"

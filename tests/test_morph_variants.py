@@ -22,7 +22,6 @@ from netmorph import (
     morph_stacked,
     pad_filter,
     same_pad_conv,
-    split_stacked,
     widen,
 )
 
@@ -257,29 +256,6 @@ class TestMorphSequential:
             morph_sequential(np.zeros((1, 1, 1, 1)), widths=[1, 1], kernels=[1, 1], seed=0)
 
 
-class TestSplitStacked:
-    def test_half_split(self):
-        rng = make_rng(80)
-        g = rng.standard_normal((3, 2, 3, 3))
-        parts = split_stacked(g, [0.5, 0.5])
-        assert np.array_equal(parts[0] + parts[1], g)
-
-    def test_three_way_split(self):
-        rng = make_rng(81)
-        g = rng.standard_normal((3, 2, 3, 3))
-        parts = split_stacked(g, [0.2, 0.3, 0.5])
-        assert np.abs(sum(parts) - g).max() <= 1e-15
-
-    def test_bad_weight_sum_raises(self):
-        with pytest.raises(ShapeError):
-            split_stacked(np.zeros((1, 1, 1, 1)), [0.6, 0.6])
-
-    @pytest.mark.parametrize("weights", [[np.nan], [np.inf, -np.inf], [0.5, np.nan]])
-    def test_non_finite_weights_raise(self, weights):
-        with pytest.raises(ShapeError):
-            split_stacked(np.zeros((1, 1, 1, 1)), weights)
-
-
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_subnet_request_rejects_meaningless_tol(tol):
     with pytest.raises(ShapeError, match="tol must be a finite number > 0"):
@@ -363,7 +339,7 @@ class TestMorphStacked:
         with pytest.raises(ShapeError):
             SubnetMorphRequest(layer_index=0, path_specs=[[(3, 4)]], split_weights=[0.9])
 
-    @pytest.mark.parametrize("weights", [[np.nan], [np.inf, -np.inf]])
+    @pytest.mark.parametrize("weights", [[np.nan], [np.inf, -np.inf], [0.5, np.nan], [0.6, 0.6]])
     def test_non_finite_weights_rejected(self, weights):
         with pytest.raises(ShapeError, match="finite"):
             SubnetMorphRequest(layer_index=0, path_specs=[[(3, 4)]] * len(weights), split_weights=weights)

@@ -102,6 +102,19 @@ class TestLayers:
         with pytest.raises(ValueError):
             layer.weights[0, 0, 0, 0] = 2.0
 
+    def test_layer_copies_the_callers_arrays(self):
+        w, b = np.zeros((2, 1, 3, 3)), np.zeros(2)
+        layer = same_pad_conv(w, bias=b)
+        w[0, 0, 0, 0] = 1.0
+        b[0] = 1.0
+        assert not layer.weights.any() and not layer.bias.any()
+
+        p = {"w": np.ones((2, 1, 3, 3)), "b": np.ones(2)}
+        rebuilt = layer.with_params(p)
+        p["w"][0, 0, 0, 0] = 0.0
+        p["b"][0] = 0.0
+        assert rebuilt.weights.all() and rebuilt.bias.all()
+
     def test_channel_chain_validated(self):
         with pytest.raises(ShapeError):
             NetworkDef(

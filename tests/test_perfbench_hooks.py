@@ -1,19 +1,25 @@
 """The benchmark's trace hooks (perfbench/tracing.py) still reach the
 functions they wrap.  The tracer rebinds functions by name, so a refactor
 that moves a traced function, or calls it through a binding the tracer
-cannot see, would silently zero its per-layer metrics."""
+cannot see, would silently zero its per-layer metrics.  Every package name
+the benchmark's scripts use must also still exist, so that deleting one
+fails here and not in the next benchmark run."""
 
+import ast
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import netmorph
 import netmorph.cli
 import netmorph.morph_depth
 from netmorph import DepthMorphRequest, make_rng
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -41,6 +47,46 @@ def _traced(call):
 def test_every_traced_function_resolves():
     for mod_name, fn_name in _tracing().TRACED:
         assert callable(getattr(importlib.import_module(f"netmorph.{mod_name}"), fn_name, None)), (mod_name, fn_name)
+
+
+def _package_names(tree):
+    """Dotted names the code in ``tree`` reads through ``nm.<...>`` or
+    ``netmorph.<...>``.  Assignment targets such as
+    ``netmorph.cli.insert_depth = ...`` may create a name, so they are
+    skipped; the object they assign to (``netmorph.cli``) is read."""
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or isinstance(node.ctx, ast.Store):
+            continue
+        parts, value = [node.attr], node.value
+        while isinstance(value, ast.Attribute):
+            parts.append(value.attr)
+            value = value.value
+        if isinstance(value, ast.Name) and value.id in ("nm", "netmorph"):
+            names.add(".".join(reversed(parts)))
+    return names
+
+
+def _resolves(dotted):
+    obj = netmorph
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_package_name_the_benchmark_uses_exists():
+    for module in pkgutil.iter_modules(netmorph.__path__):
+        importlib.import_module(f"netmorph.{module.name}")  # each submodule becomes a package attribute
+    names = {
+        (source.name, name)
+        for source in sorted(PERFBENCH.glob("*.py"))
+        for name in _package_names(ast.parse(source.read_text(), filename=str(source)))
+    }
+    assert ("workloads.py", "forward") in names and ("selftest.py", "cli") in names
+    missing = sorted((source, name) for source, name in names if not _resolves(name))
+    assert not missing
 
 
 def test_cli_depth_morph_reaches_the_traced_solver(tmp_path, capsys):

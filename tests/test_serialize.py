@@ -167,6 +167,8 @@ def rewrite_manifest(data, edit):
 INVALID_LAYERS = {
     "pad0-kernel3": lambda m: m["layers"][0].update(pad=0),
     "input-channels-mismatch": lambda m: m.update(input_shape=[5, 6, 6]),
+    "pad-float": lambda m: m["layers"][0].update(pad=1.0),
+    "fc-string": lambda m: m["layers"][2].update(fc="no"),
 }
 
 

@@ -29,6 +29,10 @@ from netmorph import (
 from netmorph.train import _TrainState, forward_batch
 
 
+# An images header that declares 2**31-1 items of (2**31-1)**2 pixels, and no pixels.
+OVERSIZED_IMAGES = struct.pack(">4i", 0x803, 2**31 - 1, 2**31 - 1, 2**31 - 1)
+
+
 def write_idx_pair(tmp_path, n=20, rows=4, cols=4, seed=0, gz=False):
     rng = make_rng(seed)
     pixels = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
@@ -121,6 +125,12 @@ class TestIdxLoader:
         ip, lp, *_ = write_idx_pair(tmp_path)
         data = ip.read_bytes()[:-5]
         ip.write_bytes(data)
+        with pytest.raises(FormatError, match="truncated"):
+            load_mnist_idx(ip, lp)
+
+    def test_oversized_header_rejected(self, tmp_path):
+        ip, lp, *_ = write_idx_pair(tmp_path)
+        ip.write_bytes(OVERSIZED_IMAGES)
         with pytest.raises(FormatError, match="truncated"):
             load_mnist_idx(ip, lp)
 

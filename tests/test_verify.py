@@ -1,4 +1,4 @@
-"""Preservation checking, occupancy, and parameter statistics."""
+"""Preservation checking and occupancy."""
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from netmorph import (
     widen,
 )
 from netmorph import netdef
-from netmorph.verify import PreservationReport, crop_border_for, param_stats, support_radius
+from netmorph.verify import PreservationReport, crop_border_for, support_radius
 
 
 def _net(seed=0, k=3, hw=8):
@@ -335,29 +335,3 @@ class TestOccupancy:
 
     def test_zero_filter(self):
         assert occupancy(np.zeros((2, 2, 3, 3))).fraction == 0.0
-
-
-class TestParamStats:
-    def test_constant_tensor(self):
-        mean, std, hist = param_stats(np.full((2, 2, 1, 1), 3.0))
-        assert mean == 3.0 and std == 0.0
-        assert hist.sum() == 4 and hist[0] == 4
-
-    def test_gaussian_tensor(self):
-        rng = make_rng(113)
-        f = rng.standard_normal((8, 8, 3, 3))
-        mean, std, hist = param_stats(f)
-        n = f.size
-        assert abs(mean) <= 3.0 / np.sqrt(n)
-        assert abs(std - 1.0) <= 3.0 / np.sqrt(2 * n)
-        assert hist.sum() == n
-
-    def test_identity_filter_is_bimodal(self):
-        mean, std, hist = param_stats(identity_filter(16, 3))
-        assert hist[0] == 16 * 16 * 9 - 16  # zeros
-        assert hist[-1] == 16  # ones
-        assert hist[1:-1].sum() == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            param_stats(np.zeros((0, 1, 1, 1)))
