@@ -35,7 +35,8 @@ __all__ = [
     "as_filter",
     "conv_mc",
     "conv_batch",
-    "conv_batch_grads",
+    "conv_filter_grad",
+    "conv_input_grad",
     "compose_filters",
     "pad_filter",
     "lstsq_factor_step",
@@ -136,16 +137,19 @@ def _adjoint(f) -> np.ndarray:
     return f.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
 
 
-def conv_batch_grads(x, f, pad: int, dy):
-    """Gradients (dx, df) of sum(dy * conv_batch(x, f, pad)), for pad <= k-1.
-
-    dx is the adjoint convolution: ``conv_batch`` of dy with the adjoint
-    filter, padded by k-1-pad.
-    """
-    c_out, k = f.shape[0], f.shape[2]
+def conv_filter_grad(x, dy, k: int, pad: int) -> np.ndarray:
+    """Gradient df of sum(dy * conv_batch(x, f, pad)) for a k x k filter f:
+    dy's channel rows times the transposed columns of x."""
+    c_out = dy.shape[1]
     df = dy.transpose(1, 0, 2, 3).reshape(c_out, -1) @ _columns(x, k, pad).T
-    dx = conv_batch(dy, _adjoint(f), k - 1 - pad)
-    return dx, df.reshape(f.shape)
+    return df.reshape(c_out, x.shape[1], k, k)
+
+
+def conv_input_grad(dy, f, pad: int) -> np.ndarray:
+    """Gradient dx of sum(dy * conv_batch(x, f, pad)), for pad <= k-1: the
+    adjoint convolution, ``conv_batch`` of dy with the adjoint filter,
+    padded by k-1-pad."""
+    return conv_batch(dy, _adjoint(f), f.shape[2] - 1 - pad)
 
 
 def compose_filters(f_lo, f_hi) -> np.ndarray:

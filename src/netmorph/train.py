@@ -12,6 +12,7 @@ separate dense-layer code path.
 import copy
 import gzip
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -55,6 +56,12 @@ class TrainConfig:
                 raise ShapeError(f"{name} must be a finite number >= 0, got {value}")
         if not math.isfinite(self.momentum):
             raise ShapeError(f"momentum must be a finite number, got {self.momentum}")
+        for name in ("batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ShapeError(f"{name} must be an integer, got {value!r}") from None
         if self.batch_size < 1:
             raise ShapeError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -119,12 +126,14 @@ class _TrainState:
 
     ``params[i]`` is a copy of ``net.layers[i].params()``: writable arrays
     for conv weights and biases, a float for each activation parameter.
+    ``velocity[i]`` is keyed like it and starts at zero; ``sgd_step`` updates
+    its arrays in place.
     """
 
     def __init__(self, net: NetworkDef):
         self.net = net
         self.params = [copy.deepcopy(layer.params()) for layer in net.layers]
-        self.velocity = [dict.fromkeys(p, 0.0) for p in self.params]
+        self.velocity = [{k: np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0 for k, v in p.items()} for p in self.params]
 
     def forward_backward(self, x, labels):
         """Cross-entropy loss and parameter gradients for one minibatch."""
@@ -138,18 +147,21 @@ class _TrainState:
 
         d = probs.copy()
         d[np.arange(n), labels] -= 1.0
-        _, grads = backward_pass(self.net.layers, self.params, caches, (d / n).reshape(out.shape))
+        # nothing reads the gradient at the network input, so it is not computed
+        _, grads = backward_pass(self.net.layers, self.params, caches, (d / n).reshape(out.shape), need_dx=False)
         return loss, grads
 
     def sgd_step(self, grads, cfg: TrainConfig):
         for p, v, g in zip(self.params, self.velocity, grads):
             for key in p:
                 # activation parameters are keyed "a", or "<path>.<layer>.a" in a stack
-                is_a = key.endswith("a")
-                v[key] = cfg.momentum * v[key] - (cfg.a_learning_rate if is_a else cfg.learning_rate) * g[key]
-                if is_a:
+                if key.endswith("a"):
+                    v[key] = cfg.momentum * v[key] - cfg.a_learning_rate * g[key]
                     p[key] = float(np.clip(p[key] + v[key], 0.0, 1.0))
                 else:
+                    # in place, with the same roundings as p += m*v - lr*g
+                    v[key] *= cfg.momentum
+                    v[key] -= cfg.learning_rate * g[key]
                     p[key] += v[key]
 
     def to_network(self) -> NetworkDef:

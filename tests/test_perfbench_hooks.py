@@ -2,8 +2,9 @@
 functions they wrap.  The tracer rebinds functions by name, so a refactor
 that moves a traced function, or calls it through a binding the tracer
 cannot see, would silently zero its per-layer metrics.  Every package name
-the benchmark's scripts use must also still exist, so that deleting one
-fails here and not in the next benchmark run."""
+the benchmark's scripts use must also still exist, and every workload must
+pass its own checks at its tiny size, so that breaking either fails here
+and not in the next benchmark run."""
 
 import ast
 import importlib
@@ -19,21 +20,24 @@ import netmorph.morph_depth
 from netmorph import DepthMorphRequest, make_rng
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACING = PERFBENCH / "tracing.py"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    """Import ``perfbench/<name>.py``, which is not a package module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+WORKLOADS = _load("workloads")
 
 
 def _traced(call):
     """Run ``call()`` under the benchmark's tracer; return its result and
     the per-layer call counts and counters it recorded.  ``call`` looks the
     traced functions up when it runs, so it reaches their wrappers."""
-    tracer = _tracing().Tracer()
+    tracer = _load("tracing").Tracer()
     mark = tracer.mark()
     tracer.install()
     try:
@@ -45,7 +49,7 @@ def _traced(call):
 
 
 def test_every_traced_function_resolves():
-    for mod_name, fn_name in _tracing().TRACED:
+    for mod_name, fn_name in _load("tracing").TRACED:
         assert callable(getattr(importlib.import_module(f"netmorph.{mod_name}"), fn_name, None)), (mod_name, fn_name)
 
 
@@ -114,3 +118,14 @@ def test_every_shrink_attempt_is_counted(shape):
     assert calls["morph_depth.morph_practical"] == 1
     assert calls["tensor_ops.lstsq_factor_step"] == 4
     assert counters["morph_depth.shrink_attempts"] == 2
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_tiny_workload_passes_its_own_checks(name, tmp_path):
+    workload = WORKLOADS.WORKLOADS[name](1, tmp_path, "tiny")
+    workload.setup()
+    ledger = WORKLOADS.Ledger()
+    first, second = (workload.run_pass(ledger) for _ in range(2))
+    assert ledger.attempted > 0 and ledger.failed == 0, ledger.failures
+    assert first.problems == [] and second.problems == []
+    assert first.digest == second.digest

@@ -26,6 +26,7 @@ from netmorph import (
     serialize,
     train_sgd,
 )
+from netmorph import netdef, tensor_ops
 from netmorph.train import _TrainState, forward_batch
 
 
@@ -85,6 +86,43 @@ def spatial_net(seed=0):
             ),
         ],
     )
+
+
+def parallel_first_net(seed=0):
+    """A two-path stack as the first layer, its second path two convs deep,
+    so the network input feeds the first conv of each path."""
+    rng = make_rng(seed)
+    return NetworkDef(
+        input_shape=(3, 4, 4),
+        layers=[
+            ParallelLayer(
+                paths=(
+                    (_random_conv(rng, 5, 3, 3),),
+                    (_random_conv(rng, 4, 3, 1), PActLayer(base="tanh", a=0.4), _random_conv(rng, 5, 4, 3)),
+                )
+            ),
+            PActLayer(base="sigmoid", a=0.6),
+            _random_conv(rng, 2, 5, 1),
+        ],
+    )
+
+
+def pact_first_net(seed=0):
+    rng = make_rng(seed)
+    return NetworkDef(
+        input_shape=(2, 4, 4),
+        layers=[
+            PActLayer(base="relu", a=0.3),
+            _random_conv(rng, 3, 2, 3),
+            PActLayer(base="tanh", a=0.5),
+            _random_conv(rng, 2, 3, 3),
+        ],
+    )
+
+
+def flat_params(net):
+    """(key, value) for every parameter, layer by layer."""
+    return [(k, v) for layer in net.layers for k, v in layer.params().items()]
 
 
 def nested_parallel_net(seed=0):
@@ -229,6 +267,86 @@ class TestGradients:
                 checked.append(key)
         assert checked == ["w", "b", "a", "0.0.w", "0.0.b", "1.0.w", "1.0.b", "1.1.a", "1.2.w", "1.2.b"]
 
+    @pytest.mark.parametrize(
+        "make_net, keys",
+        [
+            (parallel_first_net, ["0.0.w", "0.0.b", "1.0.w", "1.0.b", "1.1.a", "1.2.w", "1.2.b", "a", "w", "b"]),
+            (pact_first_net, ["a", "w", "b", "a", "w", "b"]),
+        ],
+        ids=["parallel-first", "pact-first"],
+    )
+    def test_first_layer_without_input_gradient_matches_finite_differences(self, make_net, keys):
+        # The input gradient of the first layer is not computed in training;
+        # every parameter gradient, the first layer's included, must still be.
+        net = make_net(17)
+        state = _TrainState(net)
+        rng = make_rng(18)
+        x = rng.standard_normal((6,) + net.input_shape)
+        y = rng.integers(0, 2 * 4 * 4, size=6)
+        _, grads = state.forward_backward(x, y)
+        eps = 1e-6
+
+        def central_difference(set_value, orig):
+            set_value(orig + eps)
+            up, _ = state.forward_backward(x, y)
+            set_value(orig - eps)
+            down, _ = state.forward_backward(x, y)
+            set_value(orig)
+            return (up - down) / (2 * eps)
+
+        checked = []
+        for i, p in enumerate(state.params):
+            for key, value in p.items():
+                if isinstance(value, float):
+                    fd = central_difference(lambda v: p.__setitem__(key, v), value)
+                    assert grads[i][key] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+                else:
+                    flat, gflat = value.reshape(-1), grads[i][key].reshape(-1)
+                    for j in range(flat.size):
+                        fd = central_difference(lambda v: flat.__setitem__(j, v), flat[j])
+                        assert gflat[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+                checked.append(key)
+        assert checked == keys
+
+
+class TestTrainingCost:
+    """One minibatch runs each conv forward once and computes the input
+    gradient of every conv except those that read the network input."""
+
+    def _conv_filters(self, monkeypatch, net, n_classes, seed):
+        """(c_out, c_in) of the filter of every conv one training step runs."""
+        shapes = []
+
+        def counting(x, f, pad, conv_batch=tensor_ops.conv_batch):
+            shapes.append(f.shape[:2])
+            return conv_batch(x, f, pad)
+
+        monkeypatch.setattr(tensor_ops, "conv_batch", counting)
+        monkeypatch.setattr(netdef, "conv_batch", counting)
+        rng = make_rng(seed)
+        _TrainState(net).forward_backward(rng.random((8,) + net.input_shape), rng.integers(0, n_classes, size=8))
+        return sorted(shapes)
+
+    def test_mnist_child_skips_the_input_gradient(self, monkeypatch):
+        rng = make_rng(19)
+        net = NetworkDef(
+            input_shape=(784, 1, 1),
+            layers=[
+                same_pad_conv(rng.standard_normal((50, 784, 1, 1)) * 0.05, fc=True),
+                PActLayer(base="relu", a=1.0),
+                same_pad_conv(rng.standard_normal((10, 50, 1, 1)) * 0.1, fc=True),
+            ],
+        )
+        # two forward convs, and the input gradient of the second (its adjoint filter is 50x10)
+        assert self._conv_filters(monkeypatch, net, 10, 20) == sorted([(50, 784), (10, 50), (50, 10)])
+
+    def test_no_path_of_a_first_stack_computes_an_input_gradient(self, monkeypatch):
+        forward = [(5, 3), (4, 3), (5, 4), (2, 5)]
+        # adjoints of the last conv and of the second path's second conv; a
+        # first conv's adjoint would have 3 output channels
+        input_grads = [(5, 2), (4, 5)]
+        assert self._conv_filters(monkeypatch, parallel_first_net(21), 2 * 4 * 4, 22) == sorted(forward + input_grads)
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize(
@@ -245,6 +363,9 @@ class TestTrainConfig:
             {"momentum": float("-inf")},
             {"epochs": -1},
             {"batch_size": 0},
+            {"epochs": 1.5},
+            {"batch_size": 2.5},
+            {"seed": 1.5},
         ],
         ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()),
     )
@@ -255,6 +376,7 @@ class TestTrainConfig:
     def test_boundary_settings_accepted(self):
         cfg = TrainConfig(learning_rate=0.0, a_learning_rate=0.0, momentum=-0.5, epochs=0)
         assert cfg.epochs == 0
+        assert TrainConfig(batch_size=np.int64(8), epochs=np.int64(1)).batch_size == 8
 
 
 class TestTrainSgd:
@@ -306,6 +428,37 @@ class TestTrainSgd:
         assert all(0.0 <= l.a <= 1.0 for l in acts)
         originals = [l.a for l in micro_net(8).layers if isinstance(l, PActLayer)]
         assert any(l.a != o for l, o in zip(acts, originals))
+
+    def test_momentum_steps_match_reference_loop(self):
+        net = spatial_net(15)
+        rng = make_rng(16)
+        ds = Dataset(images=rng.standard_normal((20, 2, 5, 5)), labels=rng.integers(0, 3 * 5 * 5, size=20))
+        cfg = TrainConfig(learning_rate=0.05, a_learning_rate=0.05, momentum=0.9, batch_size=8, epochs=2, seed=3)
+        trained, _ = train_sgd(net, ds, cfg)
+
+        # the plain update, with new arrays at every step
+        state = _TrainState(net)
+        velocity = [dict.fromkeys(p, 0.0) for p in state.params]
+        order_rng = make_rng(cfg.seed)
+        for _ in range(cfg.epochs):
+            order = order_rng.permutation(len(ds))
+            for start in range(0, len(ds), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _, grads = state.forward_backward(ds.images[idx], ds.labels[idx])
+                for p, v, g in zip(state.params, velocity, grads):
+                    for key in p:
+                        if key.endswith("a"):
+                            v[key] = cfg.momentum * v[key] - cfg.a_learning_rate * g[key]
+                            p[key] = float(np.clip(p[key] + v[key], 0.0, 1.0))
+                        else:
+                            v[key] = cfg.momentum * v[key] - cfg.learning_rate * g[key]
+                            p[key] = p[key] + v[key]
+        reference = state.to_network()
+
+        got, want = flat_params(trained), flat_params(reference)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+        assert [v for k, v in got if k.endswith("a")] != [v for k, v in flat_params(net) if k.endswith("a")]
 
     def test_stacked_child_trains(self):
         rng = make_rng(14)
