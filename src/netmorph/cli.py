@@ -249,6 +249,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ArchParseError, FormatError, UsageError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error={exc}", file=sys.stderr)

@@ -21,9 +21,10 @@ upper factor of the adjoint (channel-transposed, spatially flipped)
 problem.  When the fixed factor of that solve is 1x1, its system is the
 fixed channel matrix repeated once per target kernel position, and the
 solve is one small channel system instead of the dense columns.  A larger
-fixed factor is solved through the smaller Gram matrix of the columns
-when its eigenvalues show it well conditioned (``GRAM_TAU``), and by the
-SVD-backed ``np.linalg.lstsq`` on the columns otherwise.
+fixed factor is solved through the smaller Gram matrix G of the columns
+when G - GRAM_TAU * mu * I has a Cholesky factor, mu <= lambda_max being a
+power-iteration estimate, and by the SVD-backed ``np.linalg.lstsq`` on the
+columns otherwise.
 """
 
 import numpy as np
@@ -43,9 +44,10 @@ __all__ = [
     "identity_filter",
 ]
 
-# Smallest eigenvalue ratio lambda_min/lambda_max of a Gram matrix that the
-# factor solve factorizes directly.  Solving the normal equations costs
-# about eps/GRAM_TAU ~ 2e-11 in relative accuracy, far inside the 1e-9 the
+# Smallest ratio lambda_min/mu of a Gram matrix that the factor solve
+# solves directly, mu <= lambda_max being a power-iteration estimate
+# (``_well_conditioned``).  Solving the normal equations costs about
+# eps/GRAM_TAU ~ 2e-11 in relative accuracy, far inside the 1e-9 the
 # dense-oracle tests allow; below it the solve falls back to lstsq.
 GRAM_TAU = 1e-5
 
@@ -208,9 +210,10 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     system matrix A (m x n), solved through the smaller Gram matrix: the
     normal equations (A^T A) x = A^T b when m >= n, else the minimum-norm
     x = A^T y with (A A^T) y = b.  That route is taken only when the Gram
-    matrix's eigenvalues satisfy lambda_max > 0 and lambda_min >=
-    GRAM_TAU * lambda_max; rank-deficient or ill-conditioned systems fall
-    back to the SVD-backed lstsq on A, which keeps the minimum-norm answer.
+    matrix G has lambda_min > GRAM_TAU * mu for an estimate mu <= lambda_max
+    with mu > 0 (``_well_conditioned``); rank-deficient or ill-conditioned
+    systems fall back to the SVD-backed lstsq on A, which keeps the
+    minimum-norm answer.
 
     Returns (solved, residual) with residual = ||g_tilde - compose||_F.
     """
@@ -253,8 +256,7 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
         # rebuilt after (1-4 ms): kept alive, they raised morph-chain's peak
         # memory from 62.7 to 68 MiB
         del cols
-        lam = np.linalg.eigvalsh(gram)
-        sol = np.linalg.solve(gram, rhs) if lam[-1] > 0 and lam[0] >= GRAM_TAU * lam[-1] else None
+        sol = np.linalg.solve(gram, rhs) if _well_conditioned(gram) else None
         del gram
         cols = _columns(batch, k2, k2 - 1)
         if sol is None:
@@ -266,3 +268,46 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     if solve_side == "lower":
         solved = _adjoint(solved)
     return np.ascontiguousarray(solved), residual
+
+
+def _well_conditioned(gram) -> bool:
+    """The Gram route's verdict: whether mu > 0 and gram - GRAM_TAU * mu * I
+    is positive definite, i.e. lambda_min > GRAM_TAU * mu.
+
+    mu = max(Rayleigh quotient after 30 power-iteration steps from the
+    uniform vector, largest diagonal entry); both are lower bounds, so mu <=
+    lambda_max (0.98 and 0.998 of it on morph-chain's 864x864 and 800x800
+    systems).  The Cholesky factorization is blocked and runs in place on
+    one shifted copy, because ``np.linalg.cholesky`` on that copy would also
+    hold LAPACK's buffer and the factor.  ``gram`` is left as it was.
+    """
+    n = gram.shape[0]
+    x = np.full(n, n ** -0.5)
+    for _ in range(30):
+        y = gram @ x
+        rayleigh = float(x @ y)
+        norm = (y @ y) ** 0.5
+        if not norm > 0:
+            break
+        x = y / norm
+    mu = max(rayleigh, float(gram.diagonal().max()))
+    if not mu > 0:  # also rejects NaN
+        return False
+    a = gram.copy()
+    a.flat[:: n + 1] -= GRAM_TAU * mu
+    block = 128
+    for j in range(0, n, block):
+        e = min(j + block, n)
+        try:
+            l_jj = np.linalg.cholesky(a[j:e, j:e])
+        except np.linalg.LinAlgError:
+            return False
+        if e == n:
+            break
+        # rows e: of this column block of the factor (multiplying by the
+        # small block's inverse is 40% faster than np.linalg.solve), then
+        # the lower part of the trailing update, one column block at a time
+        panel = a[e:, j:e] @ np.linalg.inv(l_jj).T
+        for c in range(e, n, block):
+            a[c:, c : c + block] -= panel[c - e :] @ panel[c - e : c - e + block].T
+    return True

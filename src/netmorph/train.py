@@ -66,6 +66,8 @@ class TrainConfig:
             raise ShapeError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ShapeError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ShapeError("seed must be >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from netmorph import ArchParseError, ConvSpec, NetworkDef, build_network, parse_arch, print_arch
+from netmorph import ArchParseError, ConvSpec, NetworkDef, ShapeError, build_network, make_rng, parse_arch, print_arch
 
 CORPUS = [
     "(5:32)(5:32)(5:64)",
@@ -77,6 +77,14 @@ def test_build_network_deterministic_by_seed():
     a = build_network(parse_arch("(3:8)"), input_shape=(1, 6, 6), seed=5)
     b = build_network(parse_arch("(3:8)"), input_shape=(1, 6, 6), seed=5)
     assert (a.layers[0].weights == b.layers[0].weights).all()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_bad_seed_rejected(seed):
+    with pytest.raises(ShapeError, match="seed must be an integer >= 0"):
+        make_rng(seed)
+    with pytest.raises(ShapeError, match="seed must be an integer >= 0"):
+        build_network(parse_arch("(3:8)"), input_shape=(1, 6, 6), seed=seed)
 
 
 def test_even_kernel_rejected_at_build():

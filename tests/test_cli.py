@@ -381,6 +381,29 @@ class TestTrainEval:
         assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parse", "--arch", "(3:4)", "--input-shape", "3,8,8", "-o", "{out}"),
+        ("morph", "-i", "{parent}", "-o", "{out}", "--layer", "0", "--op", "depth", "--cl", "16", "--k1", "3", "--k2", "1"),
+        ("morph", "-i", "{parent}", "-o", "{out}", "--layer", "0", "--op", "width", "--width", "12"),
+        ("morph", "-i", "{parent}", "-o", "{out}", "--layer", "0", "--op", "subnet", "--paths", "(3:8),(3:8)"),
+        ("verify", "-a", "{parent}", "-b", "{parent}"),
+        ("train", "-i", "{parent}", "--data-dir", "{data}", "--epochs", "1", "-o", "{out}"),
+    ],
+    ids=["parse", "morph-depth", "morph-width", "morph-subnet", "verify", "train"],
+)
+def test_negative_seed_exits_2(argv, parent_file, idx_dir, tmp_path, capsys):
+    # rejected as a usage error before any work, also by morph, whose typed
+    # errors from the solvers exit 3
+    out = tmp_path / "out.nmph"
+    argv = [a.format(parent=parent_file, data=idx_dir, out=out) for a in argv]
+    code, stdout, stderr = run(capsys, *argv, "--seed", "-1")
+    assert code == EXIT_USAGE
+    assert stdout == "" and stderr == "error=--seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_loaded_child_is_usable(parent_file, tmp_path, capsys):
     child = tmp_path / "child.nmph"
     run(

@@ -1,5 +1,7 @@
 """Depth morphing: factorization solvers, rebalancing, layer insertion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,41 @@ class TestMorphPractical:
         assert calls == []
         err = np.linalg.norm(compose_filters(out.f_lo, out.f_hi) - g) / np.linalg.norm(g)
         assert err <= req.tol
+
+    def test_3x3_pair_decides_the_gram_route_without_eigenvalues(self, monkeypatch):
+        # (3:96)(3:32) on a (32, 48, 5, 5) conv: an eigenvalue solve of the
+        # 864x864 or 800x800 Gram matrix costs 2-3 times the power iteration
+        # and shifted Cholesky test that decides the route
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        g = make_rng(40).standard_normal((32, 48, 5, 5))
+        req = DepthMorphRequest(layer_index=0, c_l=96, k1=3, k2=3, seed=0)
+        out = morph_practical(g, req)
+        assert calls == []
+        err = np.linalg.norm(compose_filters(out.f_lo, out.f_hi) - g) / np.linalg.norm(g)
+        assert err <= req.tol
+
+    def test_3x3_pair_peak_memory(self):
+        # morph-chain's depth step peaks at 14.4 MiB traced: the route test
+        # holds one shifted copy of a Gram matrix (5.7 MiB at 864x864) and
+        # factorizes it in place; np.linalg.cholesky on that copy would also
+        # allocate the factor, for a 17.9 MiB peak
+        g = make_rng(40).standard_normal((32, 48, 5, 5))
+        req = DepthMorphRequest(layer_index=0, c_l=96, k1=3, k2=3, seed=0)
+        morph_practical(g, req)  # warm-up: lazy imports and allocator pools
+        tracemalloc.start()
+        try:
+            morph_practical(g, req)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 class TestRebalance:

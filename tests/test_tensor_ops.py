@@ -14,6 +14,7 @@ from netmorph import (
     make_rng,
     pad_filter,
 )
+from netmorph.tensor_ops import GRAM_TAU, _well_conditioned
 
 from conftest import naive_compose, naive_conv
 
@@ -312,3 +313,43 @@ class TestFactorSolveProperties:
         assert abs(res - want_res) <= 1e-9 * max(1.0, np.linalg.norm(g))
         if kind == "zero":
             assert not solved.any() and res == pytest.approx(np.linalg.norm(g), rel=1e-12)
+
+
+@st.composite
+def gram_matrices(draw):
+    """A symmetric Q diag(lambda) Q^T, up to 300x300 so that
+    several 128-wide Cholesky blocks run.  "spread" draws the ratio
+    lambda_min/lambda_max log-uniformly from [1e-12, 1] or from a decade on
+    either side of the band [GRAM_TAU/2, 2*GRAM_TAU], where the verdict may
+    go either way; "singular" zeroes some eigenvalues, and "zero" is the
+    all-zero matrix."""
+    kind = draw(st.sampled_from(["spread", "singular", "zero"]))
+    n = draw(st.integers(2 if kind == "singular" else 1, 300))
+    if kind == "zero":
+        return np.zeros((n, n))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    if kind == "spread":
+        lo, hi = np.log10(GRAM_TAU / 2), np.log10(2 * GRAM_TAU)
+        near_band = st.floats(lo - 1, lo) | st.floats(hi, hi + 1)
+        log_ratio = draw((st.floats(-12, 0) | near_band).filter(lambda u: not lo <= u <= hi))
+        exponents = np.concatenate([[0.0, 1.0], rng.random(n)])[:n]
+        lam = scale * (10.0**log_ratio) ** exponents
+    else:
+        lam = scale * rng.random(n) + scale
+        lam[draw(st.integers(1, n - 1)) :] = 0.0
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    gram = (q * lam) @ q.T
+    return (gram + gram.T) / 2
+
+
+class TestGramRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(gram_matrices())
+    def test_verdict_is_the_eigenvalue_rule(self, gram):
+        # the power iteration and shifted Cholesky test must give the
+        # eigenvalue rule's verdict, and leave the matrix for the solve as is
+        before = gram.copy()
+        lam = np.linalg.eigvalsh(gram)
+        assert _well_conditioned(gram) == bool(lam[-1] > 0 and lam[0] >= GRAM_TAU * lam[-1])
+        assert gram.tobytes() == before.tobytes()

@@ -366,6 +366,7 @@ class TestTrainConfig:
             {"epochs": 1.5},
             {"batch_size": 2.5},
             {"seed": 1.5},
+            {"seed": -1},
         ],
         ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()),
     )
