@@ -14,9 +14,9 @@ import numpy as np
 
 from .archparse import parse_arch, print_arch, build_network
 from .errors import ArchParseError, FormatError, InfeasibleMorphError, NetMorphError, ShapeError
-from .morph_depth import DepthMorphRequest, _depth_child
+from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _depth_child
 from .morph_variants import SubnetMorphRequest, WidthMorphRequest, _check_split_weights, expand_kernel, morph_stacked, widen
-from .netdef import ConvLayer, PActLayer, ParallelLayer
+from .netdef import BASES, ConvLayer, PActLayer, ParallelLayer
 from .serialize import load as load_net, save as save_net
 from .train import TrainConfig, evaluate, load_mnist_idx, train_sgd
 from .verify import check_preservation, occupancy
@@ -195,7 +195,7 @@ def build_parser():
     p.add_argument("--arch", required=True)
     p.add_argument("--input-shape", type=_shape, default=(3, 32, 32))
     p.add_argument("--init", choices=["gaussian", "zeros"], default="gaussian")
-    p.add_argument("--base", choices=["relu", "tanh", "sigmoid"], default="relu")
+    p.add_argument("--base", choices=BASES, default="relu")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_parse)
@@ -216,7 +216,7 @@ def build_parser():
     p.add_argument("--kernel", type=int)
     p.add_argument("--paths")
     p.add_argument("--alg", choices=["general", "practical"], default="practical")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_morph)
 
@@ -224,7 +224,7 @@ def build_parser():
     p.add_argument("-a", "--net-a", required=True)
     p.add_argument("-b", "--net-b", required=True)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -125,7 +125,10 @@ def rebalance(f_lo, f_hi):
 
 
 def _rebalanced(outcome: MorphOutcome) -> MorphOutcome:
-    """``outcome`` with its factor pair rebalanced."""
+    """``outcome`` with its factor pair rebalanced.  A pair with an all-zero
+    factor (the solve of an all-zero filter) is returned as it is."""
+    if not (outcome.f_lo.any() and outcome.f_hi.any()):
+        return outcome
     f_lo, f_hi = rebalance(outcome.f_lo, outcome.f_hi)
     return replace(outcome, f_lo=f_lo, f_hi=f_hi)
 

@@ -66,58 +66,50 @@ def _next_conv(layers, start):
     raise ShapeError("no downstream conv layer to absorb the widened channels")
 
 
+def _noise(rng, shape, like):
+    """Gaussian noise of ``shape`` with the spread of ``like``'s entries, or
+    1/sqrt(fan-in) when those entries are all equal."""
+    std = float(np.std(like))
+    if std == 0.0:
+        std = 1.0 / np.sqrt(like[0].size)
+    return rng.standard_normal(shape) * std
+
+
 def widen(net: NetworkDef, req: WidthMorphRequest) -> NetworkDef:
     """Widen the blob produced by conv layer ``layer_index`` to
     ``new_width`` channels, preserving the network function.
 
-    For each new channel either its incoming filter row or its outgoing
-    filter columns are zeroed and the other side is filled with random
-    noise; the side with fewer parameters is zeroed, except that the
-    outgoing side is always zeroed when the activation in between does
-    not map zero to zero (otherwise preservation would break).  Finally
-    the widened channels are randomly permuted.
+    The new channels' incoming filter rows and outgoing filter columns are
+    two blocks appended to the parent's filters: one is zeros and the other
+    random noise.  The side with fewer parameters is zeroed, except that the
+    outgoing side is always zeroed when the activation in between does not
+    map zero to zero (otherwise preservation would break).  Finally the
+    widened channels are randomly permuted.
     """
     layers = list(net.layers)
     i = req.layer_index
     lo = _conv_at(layers, i)
     j = _next_conv(layers, i)
     hi = layers[j]
-    c_l = lo.c_out
-    if req.new_width < c_l:
-        raise ShapeError(f"cannot shrink width {c_l} to {req.new_width}")
-    delta = req.new_width - c_l
+    if req.new_width < lo.c_out:
+        raise ShapeError(f"cannot shrink width {lo.c_out} to {req.new_width}")
+    delta = req.new_width - lo.c_out
     rng = make_rng(req.seed)
 
     act_zero = 0.0
     for l in layers[i + 1 : j]:
         act_zero = pact_eval(l.base, l.a, act_zero)
-
-    w_lo = np.zeros((req.new_width, lo.c_in, lo.kernel, lo.kernel))
-    w_lo[:c_l] = lo.weights
-    b_lo = np.zeros(req.new_width)
-    b_lo[:c_l] = lo.bias
-    w_hi = np.zeros((hi.c_out, req.new_width, hi.kernel, hi.kernel))
-    w_hi[:, :c_l] = hi.weights
-
-    if delta > 0:
-        in_params = lo.c_in * lo.kernel**2
-        out_params = hi.c_out * hi.kernel**2
-        zero_side = "outgoing" if act_zero != 0.0 else ("incoming" if in_params <= out_params else "outgoing")
-
-        def noise(shape, like):
-            std = float(np.std(like))
-            if std == 0.0:
-                std = 1.0 / np.sqrt(like[0].size)
-            return rng.standard_normal(shape) * std
-
-        if zero_side == "incoming":
-            w_hi[:, c_l:] = noise((hi.c_out, delta, hi.kernel, hi.kernel), hi.weights)
-        else:
-            w_lo[c_l:] = noise((delta, lo.c_in, lo.kernel, lo.kernel), lo.weights)
-
+    new_in, new_out = (delta, lo.c_in, lo.kernel, lo.kernel), (hi.c_out, delta, hi.kernel, hi.kernel)
+    if act_zero == 0.0 and lo.c_in * lo.kernel**2 <= hi.c_out * hi.kernel**2:  # zero the incoming side
+        new_in, new_out = np.zeros(new_in), _noise(rng, new_out, hi.weights)
+    else:
+        new_in, new_out = _noise(rng, new_in, lo.weights), np.zeros(new_out)
     perm = rng.permutation(req.new_width)
-    layers[i] = same_pad_conv(w_lo[perm], bias=b_lo[perm], fc=lo.fc)
-    layers[j] = same_pad_conv(w_hi[:, perm], bias=hi.bias, fc=hi.fc)
+    w_lo = np.concatenate([lo.weights, new_in])[perm]
+    b_lo = np.concatenate([lo.bias, np.zeros(delta)])[perm]
+    w_hi = np.concatenate([hi.weights, new_out], axis=1)[:, perm]
+    layers[i] = same_pad_conv(w_lo, bias=b_lo, fc=lo.fc)
+    layers[j] = same_pad_conv(w_hi, bias=hi.bias, fc=hi.fc)
     return net.with_layers(layers)
 
 

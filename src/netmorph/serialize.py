@@ -30,30 +30,20 @@ from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer
 MAGIC = b"NMPH\x01"
 
 
-class _TensorArea:
-    def __init__(self):
-        self.chunks = []
-        self.offset = 0
-
-    def add(self, arr4d) -> int:
-        arr = np.ascontiguousarray(arr4d, dtype="<f8")
-        if arr.ndim != 4:
-            raise FormatError(f"payload tensors must be rank-4, got {arr.ndim}")
-        header = struct.pack("<4I", *arr.shape)
-        chunk = header + arr.tobytes()
-        off = self.offset
-        self.chunks.append(chunk)
-        self.offset += len(chunk)
-        return off
-
-    def bytes(self):
-        return b"".join(self.chunks)
+def _add_tensor(chunks, arr4d) -> int:
+    """Append ``arr4d`` to the payload ``chunks``; return its offset."""
+    arr = np.ascontiguousarray(arr4d, dtype="<f8")
+    if arr.ndim != 4:
+        raise FormatError(f"payload tensors must be rank-4, got {arr.ndim}")
+    offset = sum(map(len, chunks))
+    chunks.append(struct.pack("<4I", *arr.shape) + arr.tobytes())
+    return offset
 
 
-def _layer_manifest(layer, area: _TensorArea):
+def _layer_manifest(layer, chunks):
     if isinstance(layer, ConvLayer):
-        w_off = area.add(layer.weights)
-        b_off = area.add(layer.bias.reshape(-1, 1, 1, 1))
+        w_off = _add_tensor(chunks, layer.weights)
+        b_off = _add_tensor(chunks, layer.bias.reshape(-1, 1, 1, 1))
         return {
             "kind": "conv",
             "c_out": layer.c_out,
@@ -67,43 +57,38 @@ def _layer_manifest(layer, area: _TensorArea):
     if isinstance(layer, PActLayer):
         return {"kind": "pact", "base": layer.base, "a": layer.a}
     if isinstance(layer, ParallelLayer):
-        return {"kind": "parallel", "paths": [[_layer_manifest(l, area) for l in path] for path in layer.paths]}
+        return {"kind": "parallel", "paths": [[_layer_manifest(l, chunks) for l in path] for path in layer.paths]}
     raise FormatError(f"cannot serialize layer type {type(layer).__name__}")
 
 
 def serialize(net: NetworkDef) -> bytes:
-    area = _TensorArea()
+    chunks = []
     manifest = {
         "input_shape": list(net.input_shape),
-        "layers": [_layer_manifest(l, area) for l in net.layers],
+        "layers": [_layer_manifest(l, chunks) for l in net.layers],
     }
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = MAGIC + struct.pack("<I", len(mbytes)) + mbytes + area.bytes()
+    body = MAGIC + struct.pack("<I", len(mbytes)) + mbytes + b"".join(chunks)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-class _TensorReader:
-    def __init__(self, payload: bytes):
-        self.payload = payload
-
-    def read(self, offset: int) -> np.ndarray:
-        if offset < 0 or offset + 16 > len(self.payload):
-            raise FormatError(f"tensor header at offset {offset} lies outside the payload area")
-        dims = struct.unpack("<4I", self.payload[offset : offset + 16])
-        n = int(np.prod(dims))
-        start = offset + 16
-        end = start + 8 * n
-        if end > len(self.payload):
-            raise FormatError(f"tensor at offset {offset} declares {n} values but the payload is truncated")
-        data = np.frombuffer(self.payload[start:end], dtype="<f8")
-        return data.reshape(dims)
+def _read_tensor(payload, offset: int) -> np.ndarray:
+    if offset < 0 or offset + 16 > len(payload):
+        raise FormatError(f"tensor header at offset {offset} lies outside the payload area")
+    dims = struct.unpack("<4I", payload[offset : offset + 16])
+    n = int(np.prod(dims))
+    start = offset + 16
+    end = start + 8 * n
+    if end > len(payload):
+        raise FormatError(f"tensor at offset {offset} declares {n} values but the payload is truncated")
+    return np.frombuffer(payload[start:end], dtype="<f8").reshape(dims)
 
 
-def _layer_from_manifest(entry, reader: _TensorReader):
+def _layer_from_manifest(entry, payload):
     kind = entry.get("kind")
     if kind == "conv":
-        weights = reader.read(entry["weights"])
-        bias = reader.read(entry["bias"]).reshape(-1)
+        weights = _read_tensor(payload, entry["weights"])
+        bias = _read_tensor(payload, entry["bias"]).reshape(-1)
         if weights.shape != (entry["c_out"], entry["c_in"], entry["kernel"], entry["kernel"]):
             raise FormatError(f"conv tensor shape {weights.shape} disagrees with its manifest entry")
         pad, fc = entry["pad"], entry.get("fc", False)
@@ -114,7 +99,7 @@ def _layer_from_manifest(entry, reader: _TensorReader):
     if kind == "pact":
         return PActLayer(base=entry["base"], a=entry["a"])
     if kind == "parallel":
-        return ParallelLayer(paths=tuple(tuple(_layer_from_manifest(e, reader) for e in path) for path in entry["paths"]))
+        return ParallelLayer(paths=tuple(tuple(_layer_from_manifest(e, payload) for e in path) for path in entry["paths"]))
     raise FormatError(f"unknown layer kind {kind!r} in manifest")
 
 
@@ -136,9 +121,9 @@ def deserialize(data: bytes) -> NetworkDef:
         manifest = json.loads(data[mstart:mend].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable manifest: {exc}") from exc
-    reader = _TensorReader(data[mend:-4])
+    payload = data[mend:-4]
     try:
-        layers = [_layer_from_manifest(e, reader) for e in manifest["layers"]]
+        layers = [_layer_from_manifest(e, payload) for e in manifest["layers"]]
         return NetworkDef(input_shape=tuple(manifest["input_shape"]), layers=layers)
     except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise FormatError(f"malformed manifest: {exc}") from exc

@@ -14,6 +14,7 @@ import gzip
 import math
 import operator
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,25 +75,21 @@ class TrainConfig:
 # MNIST IDX ingestion
 
 
-def _open_idx(path):
-    """Open an IDX file, transparently decompressing gzip."""
-    fh = open(path, "rb")
-    if fh.read(2) == b"\x1f\x8b":
-        fh.close()
-        return gzip.open(path, "rb")
-    fh.seek(0)
-    return fh
-
-
 def _read_idx(path, magic, ndim, what):
     """Return the ``ndim`` header dims and the payload of an IDX file.
 
-    The whole file is read once and its length checked against the header's
-    dims as Python ints, so a header that declares more data than the file
-    holds is rejected without allocating that much.
+    The whole file is read once, decompressed when it starts with the gzip
+    magic, and its length checked against the header's dims as Python ints,
+    so a header that declares more data than the file holds is rejected
+    without allocating that much.
     """
-    with _open_idx(path) as fh:
+    with open(path, "rb") as fh:
         data = fh.read()
+    if data[:2] == b"\x1f\x8b":
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise FormatError(f"damaged gzip {what} file: {exc}") from exc
     start = 4 * (1 + ndim)
     if len(data) < start:
         raise FormatError(f"truncated IDX file: {what} header needs {start} bytes, got {len(data)}")
@@ -155,16 +152,15 @@ class _TrainState:
 
     def sgd_step(self, grads, cfg: TrainConfig):
         for p, v, g in zip(self.params, self.velocity, grads):
-            for key in p:
-                # activation parameters are keyed "a", or "<path>.<layer>.a" in a stack
-                if key.endswith("a"):
-                    v[key] = cfg.momentum * v[key] - cfg.a_learning_rate * g[key]
-                    p[key] = float(np.clip(p[key] + v[key], 0.0, 1.0))
-                else:
+            for key, value in p.items():
+                if isinstance(value, np.ndarray):
                     # in place, with the same roundings as p += m*v - lr*g
                     v[key] *= cfg.momentum
                     v[key] -= cfg.learning_rate * g[key]
-                    p[key] += v[key]
+                    value += v[key]
+                else:  # an activation parameter
+                    v[key] = cfg.momentum * v[key] - cfg.a_learning_rate * g[key]
+                    p[key] = float(np.clip(value + v[key], 0.0, 1.0))
 
     def to_network(self) -> NetworkDef:
         return self.net.with_layers(layer.with_params(p) for layer, p in zip(self.net.layers, self.params))

@@ -7,7 +7,11 @@ are the same in both nets, so each sample runs through them once and their
 output feeds both remaining layer lists.  Composed convolutions only match
 a single convolution away from the image edge, because each inner conv
 reads a zero-padded intermediate blob, so a border of the width that
-padding can reach is cropped before comparing.
+padding can reach is cropped before comparing.  That border is found piece
+by piece, the nets being cut after every activation that is not the
+identity: the first piece pair that differs sets it, and later pieces
+spread it.  A parent block's own padding error cancels the child's only
+within one piece, not across a nonlinearity.
 Structural support ignores zero outer rings, so kernel-size morphs
 (zero-ring growth) and practical depth morphs whose shrunk factor is 1x1
 are credited as exact.
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .netdef import ConvLayer, NetworkDef, ParallelLayer, forward_pass
+from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer, forward_pass
 from .rng import make_rng
 
 ZERO_THRESHOLD = 1e-12
@@ -59,31 +63,73 @@ def _padding_error(layers, support=0):
     return border, support
 
 
-def _align(parent: NetworkDef, child: NetworkDef):
-    """Return (head, border): the number of leading layers the two nets
-    share, and the crop border described in ``crop_border_for``."""
-    pa, ch = parent.layers, child.layers
+def _reach(layers) -> int:
+    """How far ``layers`` spread an error already in the blob they read."""
+    return _padding_error(layers, 1)[0]
+
+
+def _shared_ends(pa, ch):
+    """The numbers of leading and trailing layers ``pa`` and ``ch`` share;
+    the two runs may overlap."""
     n = min(len(pa), len(ch))
     head = next((i for i in range(n) if pa[i] != ch[i]), n)
     tail = next((i for i in range(n) if pa[-1 - i] != ch[-1 - i]), n)
-    start = min(head, n - tail)  # the changed block lies between head and tail, which may overlap
-    block, support = _padding_error(ch[start : len(ch) - tail])
-    block -= _padding_error(pa[start : len(pa) - tail])[0]
-    if block <= 0:
-        return head, 0
-    return head, block + _padding_error(pa[len(pa) - tail :], support)[0]
+    return head, tail
+
+
+def _pieces(layers):
+    """``layers`` cut after every activation that is not the identity."""
+    cuts = [i + 1 for i, layer in enumerate(layers) if isinstance(layer, PActLayer) and layer.a != 1]
+    return [layers[a:b] for a, b in zip([0] + cuts, cuts + [len(layers)])]
+
+
+def _piece_border(pa, ch):
+    """The border on which piece ``ch`` differs from piece ``pa`` when both
+    read the same blob: the padding error of the block between the layers
+    they share, spread by their shared tail."""
+    head, tail = _shared_ends(pa, ch)
+    start = min(head, min(len(pa), len(ch)) - tail)
+    blocks = pa[start : len(pa) - tail], ch[start : len(ch) - tail]
+    (parent_err, _), (child_err, _) = (_padding_error(b) for b in blocks)
+    # the parent's own padding error is shared only by a block of the same structure
+    kinds = [[sum(isinstance(l, t) for l in b) for t in (ConvLayer, ParallelLayer)] for b in blocks]
+    border = child_err - parent_err if kinds[0] == kinds[1] else max(child_err, parent_err)
+    return border + _reach(pa[len(pa) - tail :]) if border > 0 else 0
+
+
+def _align(parent: NetworkDef, child: NetworkDef):
+    """Return (head, border): the number of leading layers the two nets
+    share, and the crop border described in ``crop_border_for``."""
+    head = _shared_ends(parent.layers, child.layers)[0]
+    pieces = _pieces(parent.layers), _pieces(child.layers)
+    if len(pieces[0]) != len(pieces[1]):
+        pieces = [parent.layers], [child.layers]
+    border = 0
+    for pa, ch in zip(*pieces):
+        if border > 0:
+            border += max(_reach(pa), _reach(ch))
+        elif pa != ch:
+            border = _piece_border(pa, ch)
+    return head, border
 
 
 def crop_border_for(parent: NetworkDef, child: NetworkDef) -> int:
     """Width of the image border on which parent and child may disagree.
 
-    The nets are aligned from both ends; the layers the morph left
-    untouched are identical there, and in between lies the changed block.
-    Inside that block, every conv that reads an intermediate blob with
-    non-zero upstream support sees zero padding where the parent's filter
-    sees data, and adds its support radius to the border (the parent
-    block's own such error is shared and subtracted).  Each conv of the
-    untouched tail then spreads the border further by its support radius.
+    Each net is cut into pieces after every activation that is not the
+    identity (each net is one piece if the two nets have different piece
+    counts), and the pieces are paired in order.  While the border is 0, a
+    pair that differs sets it: the pair is aligned from both ends, and in
+    between lies its changed block.  Inside the block, every conv that
+    reads an intermediate blob with non-zero upstream support sees zero
+    padding where the parent's filter sees data, and adds its support
+    radius to the border.  When the parent's block has as many conv and
+    parallel layers as the child's, the border is the child block's error
+    less the parent block's; otherwise it is the larger of the two.  Each
+    conv of the pair's untouched tail then spreads the border by its
+    support radius.  Once the border is positive, each later pair spreads
+    it by the larger of its two reaches (the sum of the support radii along
+    a piece).
     Width, kernel-size and depth morphs whose lower or upper factor is 1x1
     add nothing, so they are exact everywhere.
     """

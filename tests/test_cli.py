@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, output format, exit codes."""
 
+import gzip
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from netmorph import DepthMorphRequest, insert_depth, load, morph_general, morph
 from netmorph.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 from test_serialize import INVALID_LAYERS, _sample_net, rewrite_manifest
-from test_train import OVERSIZED_IMAGES, write_idx_pair
+from test_train import GZIP_DAMAGE, OVERSIZED_IMAGES, damage_gzip, write_idx_pair
 from test_verify import nan_output_pair
 
 
@@ -304,6 +306,40 @@ class TestMorphVerify:
             )
         assert c1.read_bytes() == c2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "op_args",
+        [("--op", "depth", "--cl", "8", "--k1", "3", "--k2", "1"), ("--op", "subnet", "--paths", "(3:8)(1:4)")],
+        ids=["depth", "subnet"],
+    )
+    def test_all_zero_conv_morphs_and_verifies(self, op_args, tmp_path, capsys):
+        parent, child = tmp_path / "zeros.nmph", tmp_path / "child.nmph"
+        run(capsys, "parse", "--arch", "(3:4)(3:4)", "--input-shape", "2,8,8", "--init", "zeros", "-o", str(parent))
+        code, _, stderr = run(capsys, "morph", "-i", str(parent), "-o", str(child), "--layer", "0", *op_args)
+        assert code == EXIT_OK and stderr == ""
+        code, stdout, _ = run(capsys, "verify", "-a", str(parent), "-b", str(child))
+        assert code == EXIT_OK and "pass=true" in stdout
+
+    def test_verify_across_five_morphs(self, tmp_path, capsys):
+        # each step verifies against the one before, and the last child
+        # must also verify against the first parent
+        nets = [tmp_path / f"p{i}.nmph" for i in range(6)]
+        run(capsys, "parse", "--arch", "(5:16)(3:16)(3:8)", "--input-shape", "3,16,16", "--seed", "3", "-o", str(nets[0]))
+        morphs = [
+            ("--layer", "0", "--op", "depth", "--cl", "32", "--k1", "3", "--k2", "3"),
+            ("--layer", "2", "--op", "depth", "--cl", "32", "--k1", "3", "--k2", "1"),
+            ("--layer", "1", "--op", "width", "--width", "24"),
+            ("--layer", "3", "--op", "ksize", "--kernel", "5"),
+            ("--layer", "2", "--op", "subnet", "--paths", "(5:32)@0.3,(3:48)(3:32)@0.7"),
+        ]
+        for i, args in enumerate(morphs):
+            code, *_ = run(capsys, "morph", "-i", str(nets[i]), "-o", str(nets[i + 1]), *args, "--seed", "3")
+            assert code == EXIT_OK
+            code, stdout, _ = run(capsys, "verify", "-a", str(nets[i]), "-b", str(nets[i + 1]))
+            assert code == EXIT_OK, stdout
+        code, stdout, _ = run(capsys, "verify", "-a", str(nets[0]), "-b", str(nets[-1]))
+        assert code == EXIT_OK
+        assert "crop_border=3" in stdout and "pass=true" in stdout
+
 
 @pytest.fixture
 def idx_dir(tmp_path):
@@ -373,6 +409,19 @@ class TestTrainEval:
         code, _, stderr = run(capsys, "eval", "-i", str(net), "--data-dir", str(idx_dir))
         assert code == EXIT_USAGE
         assert stderr.startswith("error=truncated")
+
+    @pytest.mark.parametrize("how", GZIP_DAMAGE)
+    def test_damaged_gzip_exits_2(self, how, idx_dir, tmp_path, capsys):
+        images, labels = idx_dir / "t10k-images-idx3-ubyte", idx_dir / "t10k-labels-idx1-ubyte"
+        (idx_dir / "t10k-images-idx3-ubyte.gz").write_bytes(damage_gzip(images.read_bytes(), how))
+        (idx_dir / "t10k-labels-idx1-ubyte.gz").write_bytes(gzip.compress(labels.read_bytes()))
+        images.unlink()
+        labels.unlink()
+        net = tmp_path / "net.nmph"
+        run(capsys, "parse", "--arch", "(1:10)", "--input-shape", "16,1,1", "-o", str(net))
+        code, stdout, stderr = run(capsys, "eval", "-i", str(net), "--data-dir", str(idx_dir))
+        assert code == EXIT_USAGE
+        assert stdout == "" and stderr.startswith("error=damaged gzip images file: ")
 
     def test_missing_data_dir_exits_2(self, tmp_path, capsys):
         net = tmp_path / "net.nmph"

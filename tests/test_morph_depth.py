@@ -12,6 +12,7 @@ from netmorph import (
     NetworkDef,
     PActLayer,
     ShapeError,
+    SubnetMorphRequest,
     build_network,
     check_preservation,
     compose_filters,
@@ -20,6 +21,7 @@ from netmorph import (
     make_rng,
     morph_general,
     morph_practical,
+    morph_stacked,
     pad_filter,
     parse_arch,
     rebalance,
@@ -276,6 +278,26 @@ class TestRebalance:
     def test_zero_factor_raises(self):
         with pytest.raises(ShapeError):
             rebalance(np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
+
+
+class TestAllZeroFilter:
+    """An all-zero filter factors into a pair of all-zero factors, which
+    already compose to it and are kept rather than rebalanced."""
+
+    @pytest.mark.parametrize("solver", [morph_practical, morph_general])
+    def test_factors_are_zero(self, solver):
+        outcome = solver(np.zeros((4, 2, 3, 3)), DepthMorphRequest(layer_index=0, c_l=8, k1=3, k2=3))
+        assert outcome.residual == 0.0
+        assert not outcome.f_lo.any() and not outcome.f_hi.any()
+
+    def test_depth_and_subnet_children_verify(self):
+        parent = build_network(parse_arch("(3:4)(3:4)"), (2, 8, 8), init="zeros")
+        children = [
+            insert_depth(parent, DepthMorphRequest(layer_index=0, c_l=8, k1=3, k2=1)),
+            morph_stacked(parent, SubnetMorphRequest(0, [[(3, 8), (1, 4)]], [1.0])),
+        ]
+        for child in children:
+            assert check_preservation(parent, child, n_samples=3, tol=1e-8).pass_
 
 
 class TestInsertDepth:

@@ -34,6 +34,22 @@ from netmorph.train import _TrainState, forward_batch
 OVERSIZED_IMAGES = struct.pack(">4i", 0x803, 2**31 - 1, 2**31 - 1, 2**31 - 1)
 
 
+def damage_gzip(raw, how):
+    """``raw`` gzipped and then damaged: cut in half, given a deflate block
+    of the reserved type, or given an unknown compression method."""
+    gz = bytearray(gzip.compress(raw, mtime=0))
+    if how == "truncated":
+        return bytes(gz[: len(gz) // 2])
+    if how == "corrupt":
+        gz[10] |= 0b110  # block type 11 is reserved
+    else:
+        gz[2] = 7  # 8 (deflate) is the only method
+    return bytes(gz)
+
+
+GZIP_DAMAGE = ["truncated", "corrupt", "bad-header"]
+
+
 def write_idx_pair(tmp_path, n=20, rows=4, cols=4, seed=0, gz=False):
     rng = make_rng(seed)
     pixels = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
@@ -183,6 +199,13 @@ class TestIdxLoader:
         ip, lp, *_ = write_idx_pair(tmp_path)
         ip.write_bytes(ip.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
+            load_mnist_idx(ip, lp)
+
+    @pytest.mark.parametrize("how", GZIP_DAMAGE)
+    def test_damaged_gzip_rejected(self, how, tmp_path):
+        ip, lp, *_ = write_idx_pair(tmp_path)
+        ip.write_bytes(damage_gzip(ip.read_bytes(), how))
+        with pytest.raises(FormatError, match="damaged gzip images file"):
             load_mnist_idx(ip, lp)
 
     def test_bad_dimensions_rejected(self, tmp_path):

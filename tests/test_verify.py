@@ -1,7 +1,11 @@
 """Preservation checking and occupancy."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netmorph import (
     DepthMorphRequest,
@@ -13,6 +17,7 @@ from netmorph import (
     WidthMorphRequest,
     build_network,
     check_preservation,
+    deserialize,
     expand_kernel,
     forward,
     identity_filter,
@@ -22,6 +27,7 @@ from netmorph import (
     occupancy,
     parse_arch,
     same_pad_conv,
+    serialize,
     widen,
 )
 from netmorph import netdef
@@ -214,6 +220,71 @@ class TestCropBorder:
         report = check_preservation(parent, depth(parent), n_samples=10, tol=1e-8)
         assert report.pass_ and report.crop_border == border
         assert check_preservation(plain, depth(plain), n_samples=10, tol=1e-8).crop_border == border
+
+
+def _chain_step(net, op, ordinal, seed):
+    """One ``op`` morph of the net's ``ordinal``-th top-level conv (modulo
+    their count), sized so that the solvers converge and kernels stay at 5
+    or below; None when the net cannot take it."""
+    convs = net.conv_indices()
+    if not convs:
+        return None
+    i = convs[ordinal % len(convs)]
+    k, c = net.layers[i].kernel, net.layers[i].c_out
+    if op == "depth":  # a 3x3 pair, whose lower factor holds as many parameters as the parent
+        return insert_depth(net, DepthMorphRequest(i, c_l=3 * c if k == 5 else c, k1=3, k2=3, seed=seed))
+    if op == "ksize":
+        return expand_kernel(net, i, k + 2) if k < 5 else None
+    if op == "subnet":
+        paths = [[(k, c)], [(3, 3 * c), (max(k - 2, 1), c)]]
+        return morph_stacked(net, SubnetMorphRequest(i, paths, [0.4, 0.6], seed=seed))
+    try:
+        return widen(net, WidthMorphRequest(i, c + 2, seed=seed))
+    except ShapeError:  # the last conv, or a stacked layer next
+        return None
+
+
+def _disagreement_border(parent, child, n_samples, tol, seed=0):
+    """The narrowest crop outside which parent and child agree within
+    ``tol`` on check_preservation's samples."""
+    rng = make_rng(seed)
+    dev = 0.0
+    for _ in range(n_samples):
+        x = rng.standard_normal(parent.input_shape)
+        dev = np.maximum(dev, np.abs(forward(parent, x) - forward(child, x)).max(axis=0))
+    h = dev.shape[0]
+    return min(b for b in range(h // 2) if dev[b : h - b, b : h - b].max() <= tol)
+
+
+@st.composite
+def morph_chains(draw):
+    """A 2-3 conv net's notation and base, and up to three morphs of it."""
+    convs = draw(st.lists(st.tuples(st.sampled_from([1, 3, 5]), st.integers(2, 4)), min_size=2, max_size=3))
+    arch = "".join(f"({k}:{c})" for k, c in convs)
+    base = draw(st.sampled_from(netdef.BASES))
+    op = st.sampled_from(["depth", "width", "ksize", "subnet"])
+    steps = draw(st.lists(st.tuples(op, st.integers(0, 2), st.integers(0, 99)), min_size=1, max_size=3))
+    return arch, base, steps
+
+
+class TestCropBorderAcrossChains:
+    """A chain of morphs, each saved and loaded, verifies between any
+    ancestor and descendant, not only between neighbours."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(morph_chains())
+    @example(("(3:2)(5:2)", "relu", [("depth", 1, 0), ("depth", 0, 0)]))
+    def test_every_ancestor_verifies_with_a_wide_enough_crop(self, chain):
+        arch, base, steps = chain
+        nets = [build_network(parse_arch(arch), (2, 16, 16), seed=0, base=base)]
+        for op, ordinal, seed in steps:
+            child = _chain_step(nets[-1], op, ordinal, seed)
+            if child is not None:
+                nets.append(deserialize(serialize(child)))
+        for parent, child in itertools.combinations(nets, 2):
+            report = check_preservation(parent, child, n_samples=3, tol=1e-8)
+            assert report.pass_, report.to_text()
+            assert report.crop_border >= _disagreement_border(parent, child, 3, 1e-8)
 
 
 def _reference_report(parent, child, n_samples, tol, seed=0):
