@@ -97,7 +97,9 @@ def cmd_parse(args):
 
 def cmd_inspect(args):
     net = load_net(args.input)
-    print(f"arch={print_arch(net)}")
+    # the notation has no stacked layer, so an arch= line would drop it
+    if not any(isinstance(layer, ParallelLayer) for layer in net.layers):
+        print(f"arch={print_arch(net)}")
     for line in _layer_lines(net):
         print(line)
     return EXIT_OK

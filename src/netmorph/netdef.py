@@ -7,7 +7,8 @@ A network is an ordered chain of layers over (c, h, w) blobs:
   carry ``fc=True`` purely as a display hint.
 * ``PActLayer`` — parametric activation (1-a)*phi(x) + a*x with
   a in [0, 1]; phi is ReLU, TanH or Sigmoid.  At a=1 the layer is the
-  identity, at a=0 it is the plain activation.
+  identity and returns its input without computing phi; at a=0 it is the
+  plain activation and computes phi alone.
 * ``ParallelLayer`` — a stack of sequential paths evaluated on the same
   input blob and summed channel-wise (the stacked-subnet construct).
 
@@ -28,6 +29,13 @@ gradient at the network input: the first layer does not compute it, and a
 first-layer ``ParallelLayer`` passes that on to the first layer of each
 path.  For a conv that saves the adjoint convolution, which costs about
 twice the layer's forward pass on the MNIST-shaped 784->50 layer.
+
+No layer writes into an array it was given, in ``forward`` or in
+``backward``: an identity activation returns its input as its output, so
+one array can be the network input, several layers' outputs and their
+caches at once.  A conv adds its bias in place, into the new array
+``conv_batch`` returns.  ``forward_batch`` copies an output that shares
+memory with its input, so its caller owns what it gets back.
 """
 
 from dataclasses import dataclass, field, replace
@@ -45,8 +53,15 @@ BASES = ("relu", "tanh", "sigmoid")
 
 
 def _sigmoid(x):
-    # tanh form of 1/(1+exp(-x)): exp(-x) would overflow for x < -709
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    # tanh form of 1/(1+exp(-x)): exp(-x) would overflow for x < -709.
+    # The same operations in one buffer; a scalar (widen evaluates phi at 0) has none.
+    t = 0.5 * np.asarray(x)
+    if not isinstance(t, np.ndarray):
+        return 0.5 * (1.0 + np.tanh(t))
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
 
 
 def _phi(base: str, x):
@@ -78,9 +93,23 @@ def _check_a(a: float):
 
 
 def pact_eval(base: str, a: float, x):
-    """(1-a)*phi(x) + a*x; a=0 gives phi, a=1 gives the identity."""
+    """(1-a)*phi(x) + a*x; a=0 gives phi, a=1 gives the identity.
+
+    At the two ends nothing thrown away is computed: a=1 returns x itself
+    (as a float64 array, so a float64 array is not copied) without
+    evaluating phi, and a=0 returns phi(x) without adding 0*x.  On finite
+    inputs both equal the formula, but for the sign of one zero: at a=1 the
+    ReLU and Sigmoid formula gives +0 for x = -0 (0*phi(-0) is +0), where
+    the identity keeps -0.  A caller must not write into the result, which
+    may be its own input.
+    """
     _check_a(a)
-    return (1.0 - a) * _phi(base, x) + a * np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if a == 1:
+        return x
+    if a == 0:
+        return _phi(base, x)
+    return (1.0 - a) * _phi(base, x) + a * x
 
 
 def pact_grad(base: str, a: float, x):
@@ -145,7 +174,9 @@ class ConvLayer:
         return replace(self, weights=p["w"], bias=p["b"])
 
     def forward(self, x, p):
-        return conv_batch(x, p["w"], self.pad) + p["b"][:, None, None], x
+        y = conv_batch(x, p["w"], self.pad)  # a new array, so the bias goes in in place
+        y += p["b"][:, None, None]
+        return y, x
 
     def backward(self, x, dy, p, need_dx=True):
         dx = conv_input_grad(dy, p["w"], self.pad) if need_dx else None
@@ -313,7 +344,9 @@ def forward_batch(net: NetworkDef, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ShapeError(f"batch item shape {x.shape[1:]} does not match network input {net.input_shape}")
-    return forward_pass(net.layers, [l.params() for l in net.layers], x)[0]
+    out = forward_pass(net.layers, [l.params() for l in net.layers], x)[0]
+    # a net of identity activations (or none) hands back the caller's array
+    return out.copy() if np.may_share_memory(out, x) else out
 
 
 def forward(net: NetworkDef, blob) -> np.ndarray:

@@ -160,7 +160,8 @@ class _TrainState:
                     value += v[key]
                 else:  # an activation parameter
                     v[key] = cfg.momentum * v[key] - cfg.a_learning_rate * g[key]
-                    p[key] = float(np.clip(value + v[key], 0.0, 1.0))
+                    # builtins, not np.clip: the same value (a NaN stays NaN) without numpy's call overhead
+                    p[key] = min(max(value + v[key], 0.0), 1.0)
 
     def to_network(self) -> NetworkDef:
         return self.net.with_layers(layer.with_params(p) for layer, p in zip(self.net.layers, self.params))

@@ -18,6 +18,7 @@ are credited as exact.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,10 +165,14 @@ def check_preservation(parent: NetworkDef, child: NetworkDef, n_samples: int, to
     Each sample runs once through the leading layers the two nets share
     (see ``crop_border_for``), and that output feeds the rest of each net;
     the samples, crop and verdict are those of two full forward passes.
-    ``tol`` must be a finite number >= 0.
+    ``n_samples`` must be an integer >= 1 and ``tol`` a finite number >= 0.
     """
     if parent.input_shape != child.input_shape:
         raise ShapeError(f"input shapes differ: {parent.input_shape} vs {child.input_shape}")
+    try:
+        operator.index(n_samples)
+    except TypeError:
+        raise ShapeError(f"n_samples must be an integer, got {n_samples!r}") from None
     if n_samples < 1:
         raise ShapeError("n_samples must be >= 1")
     if not 0 <= tol < math.inf:  # also rejects NaN

@@ -5,7 +5,19 @@ import gzip
 import numpy as np
 import pytest
 
-from netmorph import DepthMorphRequest, insert_depth, load, morph_general, morph_practical, occupancy, serialize
+from netmorph import (
+    ConvLayer,
+    ConvSpec,
+    DepthMorphRequest,
+    ParallelLayer,
+    insert_depth,
+    load,
+    morph_general,
+    morph_practical,
+    occupancy,
+    parse_arch,
+    serialize,
+)
 from netmorph.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 from test_serialize import INVALID_LAYERS, _sample_net, rewrite_manifest
@@ -52,6 +64,35 @@ class TestParseInspect:
         code, stdout, _ = run(capsys, "inspect", "-i", str(out))
         assert code == EXIT_OK
         assert "arch=(5:128)(1:32)(5:128)(1:32)" in stdout
+
+    @pytest.mark.parametrize(
+        "morph",
+        [
+            (),
+            ("--op", "depth", "--layer", "0", "--cl", "32", "--k1", "3", "--k2", "1"),
+            ("--op", "width", "--layer", "0", "--width", "12"),
+            ("--op", "ksize", "--layer", "1", "--kernel", "5"),
+            ("--op", "subnet", "--layer", "0", "--paths", "(3:8)@0.5,(3:16)(1:8)@0.5"),
+        ],
+        ids=["parent", "depth", "width", "ksize", "subnet"],
+    )
+    def test_inspect_arch_parses_back_to_the_conv_skeleton(self, morph, parent_file, tmp_path, capsys):
+        path = parent_file
+        if morph:
+            path = tmp_path / "child.nmph"
+            code, *_ = run(capsys, "morph", "-i", str(parent_file), "-o", str(path), *morph)
+            assert code == EXIT_OK
+        net = load(path)
+        code, stdout, _ = run(capsys, "inspect", "-i", str(path))
+        assert code == EXIT_OK
+        arch = [line[len("arch=") :] for line in stdout.splitlines() if line.startswith("arch=")]
+        stacked = any(isinstance(layer, ParallelLayer) for layer in net.layers)
+        # the notation has no stacked layer, so a net with one gets no arch= line
+        assert len(arch) == (0 if stacked else 1)
+        for text in arch:
+            skeleton = [ConvSpec(layer.kernel, layer.c_out) for layer in net.layers if isinstance(layer, ConvLayer)]
+            assert parse_arch(text) == skeleton
+        assert stacked == (morph[:2] == ("--op", "subnet"))
 
     def test_inspect_missing_file_exits_2(self, capsys, tmp_path):
         code, *_ = run(capsys, "inspect", "-i", str(tmp_path / "missing.nmph"))

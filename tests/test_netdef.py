@@ -5,20 +5,30 @@ import pytest
 
 from netmorph import (
     ConvLayer,
+    DepthMorphRequest,
     NetworkDef,
     PActLayer,
     ParallelLayer,
     ShapeError,
+    build_network,
+    check_preservation,
     compose_filters,
     deserialize,
     forward,
+    insert_depth,
     make_rng,
     pact_eval,
     pact_grad,
     pad_filter,
+    parse_arch,
     same_pad_conv,
     serialize,
 )
+from netmorph import netdef
+from netmorph.netdef import BASES, forward_batch, forward_pass
+
+# finite inputs with the awkward ends: both zeros, subnormals, huge values
+EDGE_INPUTS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300, 710.0, -710.0])
 
 
 class TestPActEval:
@@ -47,6 +57,24 @@ class TestPActEval:
             d_dx, d_da = pact_grad("sigmoid", 0.0, x)
         np.testing.assert_array_equal(d_dx, [0.0, 0.0])
         np.testing.assert_array_equal(d_da, x - [0.0, 1.0])
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    @pytest.mark.parametrize("base", BASES)
+    def test_endpoints_equal_the_formula(self, base, a):
+        """At a in {0, 1} pact_eval skips the term the formula multiplies by
+        zero, and still equals (1-a)*phi(x) + a*x on finite inputs.  The one
+        bit that differs is the sign of a zero, which np.array_equal ignores:
+        at a=1 the ReLU and Sigmoid formula gives +0 for x = -0 (0*phi(-0)
+        is +0), where the identity keeps -0."""
+        x = np.concatenate([EDGE_INPUTS, make_rng(26).standard_normal(1000) * 10])
+        with np.errstate(over="raise", invalid="raise"):
+            got = pact_eval(base, a, x)
+            want = (1.0 - a) * netdef._phi(base, x) + a * x
+        assert np.array_equal(got, want)
+
+    def test_identity_returns_its_input(self):
+        x = make_rng(27).standard_normal(5)
+        assert pact_eval("tanh", 1.0, x) is x
 
     def test_a_out_of_range_raises(self):
         with pytest.raises(ValueError):
@@ -250,3 +278,63 @@ class TestForward:
         )
         x = np.ones((1, 3, 3))
         np.testing.assert_allclose(forward(net, x), np.full((1, 3, 3), 4.0), atol=0)
+
+
+def _aliasing_layers(seed=0):
+    """Every way a layer can hand an array on.  The leading identity
+    activation returns the caller's array, which a conv, a plain activation
+    and another identity then read side by side; later, an identity and a
+    stack's lone identity path get a plain activation's output."""
+    rng = make_rng(seed)
+    conv = same_pad_conv(rng.standard_normal((2, 2, 3, 3)), bias=rng.standard_normal(2))
+    return [
+        PActLayer(base="relu", a=1.0),
+        ParallelLayer(paths=((conv,), (PActLayer(base="sigmoid", a=0.0),), (PActLayer(base="tanh", a=1.0),))),
+        PActLayer(base="relu", a=0.0),
+        PActLayer(base="sigmoid", a=1.0),
+        ParallelLayer(paths=((PActLayer(base="tanh", a=1.0),),)),
+    ]
+
+
+class TestNoWritesIntoInputs:
+    def test_forward_pass_leaves_its_input_unchanged(self):
+        layers = _aliasing_layers(28)
+        x = make_rng(29).standard_normal((2, 2, 5, 5))
+        x[0, 0, 0, :2] = [0.0, -0.0]
+        before = x.copy()
+        x.setflags(write=False)  # a write into x raises
+        out, caches = forward_pass(layers, [layer.params() for layer in layers], x)
+        assert np.array_equal(x, before) and np.array_equal(np.signbit(x), np.signbit(before))
+        assert caches[0] is x and caches[1][2][0] is x and not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("identity_only", [False, True], ids=["mixed", "identity-only"])
+    def test_outputs_share_no_memory_with_the_input(self, identity_only):
+        layers = [PActLayer(base=b, a=1.0) for b in BASES] if identity_only else _aliasing_layers(30)
+        net = NetworkDef(input_shape=(2, 5, 5), layers=layers)
+        batch = make_rng(31).standard_normal((3, 2, 5, 5))
+        out = forward_batch(net, batch)
+        assert not np.shares_memory(out, batch)
+        blob = batch[0]
+        one = forward(net, blob)
+        assert not np.shares_memory(one, blob)
+        if identity_only:
+            assert np.array_equal(out, batch) and np.array_equal(one, blob)
+
+
+def test_identity_activation_computes_nothing_in_verify(monkeypatch):
+    # the paper's (5:4C)(1:C) depth morph joins its two convs by an a=1 PAct
+    parent = build_network(parse_arch("(5:4)(5:4)"), (3, 12, 12), seed=11, base="sigmoid")
+    child = insert_depth(parent, DepthMorphRequest(layer_index=0, c_l=16, k1=5, k2=1, seed=0))
+    assert [layer.a for layer in child.layers if isinstance(layer, PActLayer)] == [1.0, 0.0, 0.0]
+    channels = []
+
+    def counting(base, x, phi=netdef._phi):
+        channels.append(x.shape[1])
+        return phi(base, x)
+
+    monkeypatch.setattr(netdef, "_phi", counting)
+    assert check_preservation(parent, child, n_samples=5, tol=1e-8).pass_
+    # per sample: the parent's two activations and the child's two a=0
+    # ones, all on 4 channels; the a=1 one would read the 16-channel blob
+    assert channels == [4] * 20
+

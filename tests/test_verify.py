@@ -126,6 +126,12 @@ class TestCheckPreservation:
         with pytest.raises(ShapeError):
             check_preservation(net, net, n_samples=0, tol=1e-8)
 
+    @pytest.mark.parametrize("n", [2.5, "3", None, 3.0], ids=["fraction", "string", "none", "float"])
+    def test_non_integer_samples_rejected(self, n):
+        net = _net(110)
+        with pytest.raises(ShapeError, match="n_samples must be an integer"):
+            check_preservation(net, net, n_samples=n, tol=1e-8)
+
     def test_report_text_format(self):
         net = _net(107)
         text = check_preservation(net, net, n_samples=2, tol=1e-8).to_text()
