@@ -31,12 +31,13 @@ MAGIC = b"NMPH\x01"
 
 
 def _add_tensor(chunks, arr4d) -> int:
-    """Append ``arr4d`` to the payload ``chunks``; return its offset."""
+    """Append the header and the values of ``arr4d`` to the payload
+    ``chunks``, the values as the array itself; return its offset."""
     arr = np.ascontiguousarray(arr4d, dtype="<f8")
     if arr.ndim != 4:
         raise FormatError(f"payload tensors must be rank-4, got {arr.ndim}")
-    offset = sum(map(len, chunks))
-    chunks.append(struct.pack("<4I", *arr.shape) + arr.tobytes())
+    offset = sum(memoryview(c).nbytes for c in chunks)
+    chunks += (struct.pack("<4I", *arr.shape), arr)
     return offset
 
 
@@ -68,8 +69,13 @@ def serialize(net: NetworkDef) -> bytes:
         "layers": [_layer_manifest(l, chunks) for l in net.layers],
     }
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = MAGIC + struct.pack("<I", len(mbytes)) + mbytes + b"".join(chunks)
-    return body + struct.pack("<I", zlib.crc32(body))
+    # one join copies each tensor once, into the file
+    parts = [MAGIC, struct.pack("<I", len(mbytes)), mbytes, *chunks]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(struct.pack("<I", crc))
+    return b"".join(parts)
 
 
 def _read_tensor(payload, offset: int) -> np.ndarray:
@@ -87,17 +93,24 @@ def _read_tensor(payload, offset: int) -> np.ndarray:
 def _layer_from_manifest(entry, payload):
     kind = entry.get("kind")
     if kind == "conv":
+        c_out, c_in, k, pad = entry["c_out"], entry["c_in"], entry["kernel"], entry["pad"]
+        fc = entry.get("fc", False)
+        # bool is an int subclass, so the exact types are tested
+        if any(type(v) is not int for v in (c_out, c_in, k, pad)) or type(fc) is not bool:
+            raise TypeError(
+                "conv c_out, c_in, kernel and pad must be integers and fc a boolean, "
+                f"got c_out={c_out!r} c_in={c_in!r} kernel={k!r} pad={pad!r} fc={fc!r}"
+            )
         weights = _read_tensor(payload, entry["weights"])
         bias = _read_tensor(payload, entry["bias"]).reshape(-1)
-        if weights.shape != (entry["c_out"], entry["c_in"], entry["kernel"], entry["kernel"]):
+        if weights.shape != (c_out, c_in, k, k):
             raise FormatError(f"conv tensor shape {weights.shape} disagrees with its manifest entry")
-        pad, fc = entry["pad"], entry.get("fc", False)
-        # bool is an int subclass, so the exact types are tested
-        if type(pad) is not int or type(fc) is not bool:
-            raise TypeError(f"conv pad must be an integer and fc a boolean, got pad={pad!r} fc={fc!r}")
         return ConvLayer(weights=weights, bias=bias, pad=pad, fc=fc)
     if kind == "pact":
-        return PActLayer(base=entry["base"], a=entry["a"])
+        a = entry["a"]
+        if type(a) not in (int, float):
+            raise TypeError(f"pact a must be a number, got {a!r}")
+        return PActLayer(base=entry["base"], a=a)
     if kind == "parallel":
         return ParallelLayer(paths=tuple(tuple(_layer_from_manifest(e, payload) for e in path) for path in entry["paths"]))
     raise FormatError(f"unknown layer kind {kind!r} in manifest")
@@ -124,7 +137,10 @@ def deserialize(data: bytes) -> NetworkDef:
     payload = data[mend:-4]
     try:
         layers = [_layer_from_manifest(e, payload) for e in manifest["layers"]]
-        return NetworkDef(input_shape=tuple(manifest["input_shape"]), layers=layers)
+        shape = manifest["input_shape"]
+        if type(shape) is not list or any(type(v) is not int for v in shape):
+            raise TypeError(f"input_shape must be a list of integers, got {shape!r}")
+        return NetworkDef(input_shape=tuple(shape), layers=layers)
     except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise FormatError(f"malformed manifest: {exc}") from exc
 

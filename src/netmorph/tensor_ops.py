@@ -19,12 +19,12 @@ as a batch, and the least-squares factor solve uses the same columns,
 transposed, as its system matrix; the lower factor is solved as the
 upper factor of the adjoint (channel-transposed, spatially flipped)
 problem.  When the fixed factor of that solve is 1x1, its system is the
-fixed channel matrix repeated once per target kernel position, and the
-solve is one small channel system instead of the dense columns.  A larger
-fixed factor is solved through the smaller Gram matrix G of the columns
-when G - GRAM_TAU * mu * I has a Cholesky factor, mu <= lambda_max being a
-power-iteration estimate, and by the SVD-backed ``np.linalg.lstsq`` on the
-columns otherwise.
+fixed channel matrix repeated once per target kernel position, so the
+system solved is that small channel matrix instead of the dense columns.
+Either system, channel matrix or columns, is solved the same way: through
+its smaller Gram matrix G when G - GRAM_TAU * mu * I has a Cholesky
+factor, mu <= lambda_max being a power-iteration estimate, and by the
+SVD-backed ``np.linalg.lstsq`` on the system otherwise.
 """
 
 import numpy as np
@@ -44,11 +44,12 @@ __all__ = [
     "identity_filter",
 ]
 
-# Smallest ratio lambda_min/mu of a Gram matrix that the factor solve
-# solves directly, mu <= lambda_max being a power-iteration estimate
-# (``_well_conditioned``).  Solving the normal equations costs about
-# eps/GRAM_TAU ~ 2e-11 in relative accuracy, far inside the 1e-9 the
-# dense-oracle tests allow; below it the solve falls back to lstsq.
+# Smallest ratio lambda_min/mu of a Gram matrix, of a channel system or of
+# conv columns alike, that the factor solve solves directly, mu <=
+# lambda_max being a power-iteration estimate (``_well_conditioned``).
+# Solving the normal equations costs about eps/GRAM_TAU ~ 2e-11 in relative
+# accuracy, far inside the 1e-9 the dense-oracle tests allow and the 1e-8
+# morph tolerance; below it the solve falls back to lstsq.
 GRAM_TAU = 1e-5
 
 
@@ -202,18 +203,18 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     tensor is the minimizing f_lo; it is the upper solve of the adjoint
     problem.  Rank-deficient systems yield the minimum-norm solution.
 
-    A 1x1 fixed factor (after that adjoint step) is solved as one
-    (c_in x c_mid) channel system with all c_out*kt*kt target positions as
-    right-hand sides: the dense system is that channel matrix repeated
-    kt*kt times, so the solution, residual and singular-value cutoff are
-    the same.  Larger fixed kernels use the dense conv columns as the
-    system matrix A (m x n), solved through the smaller Gram matrix: the
-    normal equations (A^T A) x = A^T b when m >= n, else the minimum-norm
-    x = A^T y with (A A^T) y = b.  That route is taken only when the Gram
-    matrix G has lambda_min > GRAM_TAU * mu for an estimate mu <= lambda_max
-    with mu > 0 (``_well_conditioned``); rank-deficient or ill-conditioned
-    systems fall back to the SVD-backed lstsq on A, which keeps the
-    minimum-norm answer.
+    The system matrix A (m x n) is, for a 1x1 fixed factor (after that
+    adjoint step), the (c_in x c_mid) channel matrix with all
+    c_out*kt*kt target positions as right-hand sides: the dense system is
+    that channel matrix repeated kt*kt times, so the solution, residual and
+    singular-value cutoff are the same.  For larger fixed kernels A is the
+    dense conv columns.  Both are solved by ``_gram_solve``, through the
+    smaller Gram matrix: the normal equations (A^T A) x = A^T b when
+    m >= n, else the minimum-norm x = A^T y with (A A^T) y = b.  That route
+    is taken only when the Gram matrix G has lambda_min > GRAM_TAU * mu for
+    an estimate mu <= lambda_max with mu > 0 (``_well_conditioned``);
+    rank-deficient or ill-conditioned systems fall back to the SVD-backed
+    lstsq on A, which keeps the minimum-norm answer.
 
     Returns (solved, residual) with residual = ||g_tilde - compose||_F.
     """
@@ -238,36 +239,44 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
         a_t = fixed[:, :, 0, 0].T
         target = g_tilde.transpose(1, 0, 2, 3).reshape(a_t.shape[0], -1)
         rcond = np.finfo(np.float64).eps * max(a_t.shape) * kt * kt
-        sol, *_ = np.linalg.lstsq(a_t, target, rcond=rcond)
-        residual = float(np.linalg.norm(a_t @ sol - target))
+        sol, residual = _gram_solve(lambda: a_t, target, rcond)
         solved = sol.reshape(c_mid, -1, kt, kt).transpose(1, 0, 2, 3)
     else:
         # compose(f_lo, f_hi) is the flipped f_hi times the columns of f_lo's
         # input channels (see compose_filters): those columns, transposed, are
-        # the system matrix A (m x n), one solve serves every output channel,
-        # and sol.T @ cols is the composition the residual needs
+        # the system matrix, and one solve serves every output channel
         k2 = kt - fixed.shape[2] + 1
-        target = g_tilde.reshape(g_tilde.shape[0], -1)
         batch = fixed.transpose(1, 0, 2, 3)
-        cols = _columns(batch, k2, k2 - 1)
-        tall = cols.shape[1] >= cols.shape[0]
-        gram, rhs = (cols @ cols.T, cols @ target.T) if tall else (cols.T @ cols, target.T)
-        # the columns are freed while the Gram matrix is factorized and
-        # rebuilt after (1-4 ms): kept alive, they raised morph-chain's peak
-        # memory from 62.7 to 68 MiB
-        del cols
-        sol = np.linalg.solve(gram, rhs) if _well_conditioned(gram) else None
-        del gram
-        cols = _columns(batch, k2, k2 - 1)
-        if sol is None:
-            sol, *_ = np.linalg.lstsq(cols.T, target.T, rcond=None)
-        elif not tall:
-            sol = cols @ sol  # minimum-norm x = A^T y
-        residual = float(np.linalg.norm(sol.T @ cols - target))
+        target = g_tilde.reshape(g_tilde.shape[0], -1).T
+        sol, residual = _gram_solve(lambda: _columns(batch, k2, k2 - 1).T, target, None)
         solved = sol.T.reshape(-1, c_mid, k2, k2)[:, :, ::-1, ::-1]
     if solve_side == "lower":
         solved = _adjoint(solved)
     return np.ascontiguousarray(solved), residual
+
+
+def _gram_solve(system, b, rcond):
+    """Least-squares x minimizing ||A x - b|| for A = system(), and that
+    residual: through the smaller Gram matrix when ``_well_conditioned``
+    says so (see ``lstsq_factor_step``), else by lstsq on A with cutoff
+    ``rcond``.  A is built again after the Gram matrix is factorized rather
+    than kept (1-4 ms for conv columns): held, the columns raised
+    morph-chain's peak memory from 62.7 to 68 MiB.
+    """
+    a = system()
+    tall = a.shape[0] >= a.shape[1]
+    gram, rhs = (a.T @ a, a.T @ b) if tall else (a @ a.T, b)
+    del a
+    x = np.linalg.solve(gram, rhs) if _well_conditioned(gram) else None
+    del gram
+    a = system()
+    if x is None:
+        x, *_ = np.linalg.lstsq(a, b, rcond=rcond)
+    elif not tall:
+        x = a.T @ x
+    # ||A x - b|| taken as ||x^T A^T - b^T||: for conv columns A^T is their
+    # own row-major layout, and this runs a third faster than A x - b
+    return x, float(np.linalg.norm(x.T @ a.T - b.T))
 
 
 def _well_conditioned(gram) -> bool:

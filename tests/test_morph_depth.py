@@ -7,6 +7,7 @@ import pytest
 
 from netmorph import (
     ConvLayer,
+    ConvSpec,
     DepthMorphRequest,
     InfeasibleMorphError,
     NetworkDef,
@@ -182,15 +183,19 @@ class TestMorphPractical:
 
     def test_paper_step_solves_channel_systems_only(self, monkeypatch):
         # (5:256)(1:64) on a (64, 32, 5, 5) conv: the 1x1 factor must be
-        # solved as one 64x256 channel system, not a dense 1600x6400 one
+        # solved as one 64x256 channel system (or its Gram matrix), not a
+        # dense 1600x6400 one, whether by lstsq or by solve
         shapes = []
-        lstsq = np.linalg.lstsq
 
-        def recording_lstsq(a, b, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return lstsq(a, b, *args, **kwargs)
+        def recording(fn):
+            def record(a, b, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+            return record
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording(np.linalg.lstsq))
+        monkeypatch.setattr(np.linalg, "solve", recording(np.linalg.solve))
         g = make_rng(38).standard_normal((64, 32, 5, 5))
         req = DepthMorphRequest(layer_index=0, c_l=256, k1=5, k2=1, seed=0)
         out = morph_practical(g, req)
@@ -215,6 +220,31 @@ class TestMorphPractical:
         assert calls == []
         err = np.linalg.norm(compose_filters(out.f_lo, out.f_hi) - g) / np.linalg.norm(g)
         assert err <= req.tol
+
+    def test_paper_steps_solve_without_lstsq(self, monkeypatch):
+        # the CIFAR step's three (5:4C)(1:C) morphs and the MNIST step's
+        # 784->50->10 morph: every channel system and Gram matrix is well
+        # conditioned, so no solve falls back to the dense SVD lstsq
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def recording_lstsq(a, b, *args, **kwargs):
+            calls.append(np.shape(a))
+            return lstsq(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        cifar = build_network(parse_arch("(5:32)(5:32)(5:64)"), (3, 32, 32), seed=5)
+        mnist = build_network([ConvSpec(1, 10)], (784, 1, 1), seed=5, activations=False)
+        cases = [
+            (layer.weights, DepthMorphRequest(layer_index=0, c_l=4 * layer.c_out, k1=5, k2=1, seed=5 + i))
+            for i, layer in enumerate(cifar.layers[j] for j in cifar.conv_indices())
+        ]
+        cases.append((mnist.layers[0].weights, DepthMorphRequest(layer_index=0, c_l=50, k1=1, k2=1, seed=5)))
+        for g, req in cases:
+            out = morph_practical(g, req)
+            err = np.linalg.norm(compose_filters(out.f_lo, out.f_hi) - g) / np.linalg.norm(g)
+            assert err <= req.tol
+        assert calls == []
 
     def test_3x3_pair_decides_the_gram_route_without_eigenvalues(self, monkeypatch):
         # (3:96)(3:32) on a (32, 48, 5, 5) conv: an eigenvalue solve of the

@@ -1,5 +1,6 @@
 """Weight-file format: round trips, canonical bytes, corruption handling."""
 
+import hashlib
 import json
 import struct
 import zlib
@@ -74,6 +75,33 @@ def test_parallel_layer_round_trip():
     assert isinstance(back.layers[0], ParallelLayer)
     assert np.array_equal(back.layers[0].paths[1][0].weights, net.layers[0].paths[1][0].weights)
     assert serialize(back) == serialize(net)
+
+
+def test_serialized_bytes_are_pinned():
+    # the file layout must not drift: these bytes were written before
+    # serialize built the file in one join
+    rng = make_rng(7)
+    net = NetworkDef(
+        input_shape=(2, 6, 6),
+        layers=[
+            same_pad_conv(rng.standard_normal((3, 2, 3, 3)), bias=rng.standard_normal(3)),
+            PActLayer(base="tanh", a=0.25),
+            ParallelLayer(
+                paths=(
+                    (same_pad_conv(rng.standard_normal((4, 3, 3, 3))),),
+                    (
+                        same_pad_conv(rng.standard_normal((5, 3, 1, 1)), bias=rng.standard_normal(5)),
+                        PActLayer(base="relu", a=1.0),
+                        same_pad_conv(rng.standard_normal((4, 5, 3, 3))),
+                    ),
+                )
+            ),
+            same_pad_conv(rng.standard_normal((2, 4, 1, 1)), fc=True),
+        ],
+    )
+    data = serialize(net)
+    assert len(data) == 3836
+    assert hashlib.sha256(data).hexdigest() == "1622e825e17d1dfb4d8a058a2504eeb6ed2f8a23f33d0c7247d6d103540739d3"
 
 
 @st.composite
@@ -169,6 +197,11 @@ INVALID_LAYERS = {
     "input-channels-mismatch": lambda m: m.update(input_shape=[5, 6, 6]),
     "pad-float": lambda m: m["layers"][0].update(pad=1.0),
     "fc-string": lambda m: m["layers"][2].update(fc="no"),
+    "input-shape-float": lambda m: m.update(input_shape=[2.7, 6, 6]),
+    "c-out-float": lambda m: m["layers"][0].update(c_out=3.0),
+    "c-in-float": lambda m: m["layers"][0].update(c_in=2.0),
+    "kernel-float": lambda m: m["layers"][0].update(kernel=3.0),
+    "a-boolean": lambda m: m["layers"][1].update(a=False),
 }
 
 

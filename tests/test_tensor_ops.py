@@ -314,6 +314,46 @@ class TestFactorSolveProperties:
         if kind == "zero":
             assert not solved.any() and res == pytest.approx(np.linalg.norm(g), rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(factor_shapes(), st.sampled_from([1, 3, 5]), st.sampled_from(["upper", "lower"]), st.sampled_from(["scaled", "zero"]))
+    def test_degenerate_1x1_fixed_factor_matches_dense_oracle(self, shape, kt, solve_side, kind):
+        # a 1x1 fixed factor whose channel Gram matrix has lambda_min/lambda_max
+        # below GRAM_TAU, or is zero, must take the lstsq fallback and keep
+        # the minimum-norm answer
+        c_in, c_mid, c_out, _, _, seed = shape
+        rng = make_rng(seed)
+        if solve_side == "upper":
+            c_mid, c_in = max(c_mid, 2), max(c_in, 2)
+            fixed_shape, free_shape = (c_mid, c_in), (c_out, c_mid, kt, kt)
+        else:
+            c_out, c_mid = max(c_out, 2), max(c_mid, 2)
+            fixed_shape, free_shape = (c_out, c_mid), (c_mid, c_in, kt, kt)
+        if kind == "scaled":
+            u, s, vt = np.linalg.svd(rng.standard_normal(fixed_shape), full_matrices=False)
+            s[-1] = s[0] * (GRAM_TAU / 10) ** 0.5
+            channels = (u * s) @ vt
+        else:
+            channels = np.zeros(fixed_shape)
+        fixed = channels[:, :, None, None]
+        g = rng.standard_normal((c_out, c_in, kt, kt))
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def recording_lstsq(a, b, *args, **kwargs):
+            calls.append(np.shape(a))
+            return lstsq(a, b, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "lstsq", recording_lstsq)
+            solved, res = lstsq_factor_step(g, fixed, solve_side)
+        assert calls
+        want, want_res = _dense_solve(g, fixed, solve_side, free_shape)
+        assert solved.shape == free_shape
+        np.testing.assert_allclose(solved, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
+        assert abs(res - want_res) <= 1e-9 * max(1.0, np.linalg.norm(g))
+        if kind == "zero":
+            assert not solved.any() and res == pytest.approx(np.linalg.norm(g), rel=1e-12)
+
 
 @st.composite
 def gram_matrices(draw):
