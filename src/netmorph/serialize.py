@@ -117,6 +117,9 @@ def _layer_from_manifest(entry, payload):
 
 
 def deserialize(data: bytes) -> NetworkDef:
+    # a view, so that the checksum and the tensors read the file in place;
+    # every ConvLayer copies its arrays, so the net shares no memory with data
+    data = memoryview(data).cast("B")
     if len(data) < len(MAGIC) + 8:
         raise FormatError("file too short to be an NMPH weight file")
     if data[:4] != MAGIC[:4]:
@@ -131,7 +134,7 @@ def deserialize(data: bytes) -> NetworkDef:
     if mend > len(data) - 4:
         raise FormatError("truncated manifest")
     try:
-        manifest = json.loads(data[mstart:mend].decode("utf-8"))
+        manifest = json.loads(bytes(data[mstart:mend]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable manifest: {exc}") from exc
     payload = data[mend:-4]

@@ -24,7 +24,10 @@ system solved is that small channel matrix instead of the dense columns.
 Either system, channel matrix or columns, is solved the same way: through
 its smaller Gram matrix G when G - GRAM_TAU * mu * I has a Cholesky
 factor, mu <= lambda_max being a power-iteration estimate, and by the
-SVD-backed ``np.linalg.lstsq`` on the system otherwise.
+SVD-backed ``np.linalg.lstsq`` on the system otherwise.  G is then solved
+by its own blocked Cholesky factor.  A tall system of columns for a free
+kernel larger than 1x1 takes G from the fixed factor's channel
+autocorrelation rather than from the product of its columns.
 """
 
 import numpy as np
@@ -210,11 +213,14 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     singular-value cutoff are the same.  For larger fixed kernels A is the
     dense conv columns.  Both are solved by ``_gram_solve``, through the
     smaller Gram matrix: the normal equations (A^T A) x = A^T b when
-    m >= n, else the minimum-norm x = A^T y with (A A^T) y = b.  That route
-    is taken only when the Gram matrix G has lambda_min > GRAM_TAU * mu for
-    an estimate mu <= lambda_max with mu > 0 (``_well_conditioned``);
-    rank-deficient or ill-conditioned systems fall back to the SVD-backed
-    lstsq on A, which keeps the minimum-norm answer.
+    m >= n, else the minimum-norm x = A^T y with (A A^T) y = b.  For conv
+    columns with m >= n and a free kernel k2 > 1, A^T A is built from the
+    fixed factor's channel autocorrelation (``_tall_gram``).  That route is
+    taken only when the Gram matrix G has lambda_min > GRAM_TAU * mu for an
+    estimate mu <= lambda_max with mu > 0 (``_well_conditioned``), and G is
+    then solved through its blocked Cholesky factor; rank-deficient or
+    ill-conditioned systems fall back to the SVD-backed lstsq on A, which
+    keeps the minimum-norm answer.
 
     Returns (solved, residual) with residual = ||g_tilde - compose||_F.
     """
@@ -248,26 +254,39 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
         k2 = kt - fixed.shape[2] + 1
         batch = fixed.transpose(1, 0, 2, 3)
         target = g_tilde.reshape(g_tilde.shape[0], -1).T
-        sol, residual = _gram_solve(lambda: _columns(batch, k2, k2 - 1).T, target, None)
+        # with k2 = 1 there are no lags, and A^T A is the batch's channel
+        # product itself, which a.T @ a computes at half the flops
+        tall_gram = (lambda: _tall_gram(batch, k2)) if k2 > 1 else None
+        sol, residual = _gram_solve(lambda: _columns(batch, k2, k2 - 1).T, target, None, tall_gram)
         solved = sol.T.reshape(-1, c_mid, k2, k2)[:, :, ::-1, ::-1]
     if solve_side == "lower":
         solved = _adjoint(solved)
     return np.ascontiguousarray(solved), residual
 
 
-def _gram_solve(system, b, rcond):
+def _gram_solve(system, b, rcond, tall_gram=None):
     """Least-squares x minimizing ||A x - b|| for A = system(), and that
     residual: through the smaller Gram matrix when ``_well_conditioned``
     says so (see ``lstsq_factor_step``), else by lstsq on A with cutoff
-    ``rcond``.  A is built again after the Gram matrix is factorized rather
-    than kept (1-4 ms for conv columns): held, the columns raised
-    morph-chain's peak memory from 62.7 to 68 MiB.
+    ``rcond``.  A tall system's A^T A comes from ``tall_gram()`` when given.
+    The Gram matrix is factorized in place by ``_cholesky`` and solved by
+    two block substitutions; should that unshifted factorization fail
+    after the shifted one passed, lstsq solves.  A is built again after
+    the Gram matrix is factorized rather than kept (1-4 ms for conv
+    columns): held, the columns raised morph-chain's peak memory from
+    62.7 to 68 MiB.
     """
     a = system()
     tall = a.shape[0] >= a.shape[1]
-    gram, rhs = (a.T @ a, a.T @ b) if tall else (a @ a.T, b)
-    del a
-    x = np.linalg.solve(gram, rhs) if _well_conditioned(gram) else None
+    rhs = a.T @ b if tall else b.copy()
+    if tall and tall_gram is not None:
+        del a
+        gram = tall_gram()
+    else:
+        gram = a.T @ a if tall else a @ a.T
+        del a
+    inv_blocks = _cholesky(gram) if _well_conditioned(gram) else None
+    x = None if inv_blocks is None else _cholesky_solve(gram, inv_blocks, rhs)
     del gram
     a = system()
     if x is None:
@@ -279,6 +298,78 @@ def _gram_solve(system, b, rcond):
     return x, float(np.linalg.norm(x.T @ a.T - b.T))
 
 
+def _tall_gram(batch, k2: int) -> np.ndarray:
+    """A^T A for the fully padded columns A^T = ``_columns(batch, k2, k2 - 1)``.
+
+    Every window of a blob lies inside the padded blob, so entry
+    ((c, u, v), (c', u', v')) depends only on the lag (u' - u, v' - v): it
+    is the channel autocorrelation R[c, c', u' - u, v' - v] of the batch,
+    summed over it.  R is the filter gradient of the batch against itself,
+    a product with c*(2*d+1)^2 columns instead of the c*k2*k2 columns' own
+    product with each other; it is zero beyond the lags d = min(k1, k2) - 1
+    that a k1 x k1 blob has.
+    """
+    c, k1 = batch.shape[1], batch.shape[2]
+    d = min(k1, k2) - 1
+    r = conv_filter_grad(batch, batch, 2 * d + 1, d)
+    if d < k2 - 1:
+        r = np.pad(r, ((0, 0), (0, 0), (k2 - 1 - d,) * 2, (k2 - 1 - d,) * 2))
+    gram = np.empty((c, k2, k2, c, k2, k2))
+    for u in range(k2):
+        # lags u' - u for u' = 0..k2-1 sit at r's offsets k2-1-u .. 2*k2-2-u
+        for v in range(k2):
+            gram[:, u, v] = r[:, :, k2 - 1 - u : 2 * k2 - 1 - u, k2 - 1 - v : 2 * k2 - 1 - v]
+    return gram.reshape(c * k2 * k2, -1)
+
+
+# Column-block width of ``_cholesky``.  On a 2-vCPU Xeon with OpenBLAS,
+# 32-wide blocks factorized morph-chain's 864x864 and 800x800 Gram matrices
+# in 8.5 and 6.8 ms, 64-wide ones in 9.0 and 7.3 ms, and 128-wide ones
+# updated right-looking in 12.2 and 10.3 ms; 32 was also fastest from 32x32
+# to 256x256
+_BLOCK = 32
+
+
+def _cholesky(a):
+    """Blocked Cholesky factorization a = L L^T in place, or None when a is
+    not numerically positive definite.
+
+    Left-looking: each column block of a is first updated by one product of
+    the blocks of L to its left, then factorized.  L's rows below each
+    diagonal block are written into a, and the inverses of L's diagonal
+    blocks are returned, one per block; a's diagonal blocks and upper
+    triangle are left as scratch.  numpy has no triangular solve, so each
+    solve by a diagonal block is a product with its inverse.  The
+    factorization needs no LAPACK buffer or second n x n array, as
+    ``np.linalg.cholesky`` would.
+    """
+    n = a.shape[0]
+    inv_blocks = []
+    for j in range(0, n, _BLOCK):
+        e = min(j + _BLOCK, n)
+        a[j:, j:e] -= a[j:, :j] @ a[j:e, :j].T
+        try:
+            inv_blocks.append(np.linalg.inv(np.linalg.cholesky(a[j:e, j:e])))
+        except np.linalg.LinAlgError:
+            return None
+        a[e:, j:e] = a[e:, j:e] @ inv_blocks[-1].T
+    return inv_blocks
+
+
+def _cholesky_solve(l, inv_blocks, y):
+    """x with L L^T x = y for the factor ``_cholesky`` left in l; y is
+    overwritten with x.  Forward substitution by L, then back substitution
+    by L^T, one block at a time."""
+    n = l.shape[0]
+    blocks = [(j, min(j + _BLOCK, n), inv) for j, inv in zip(range(0, n, _BLOCK), inv_blocks)]
+    for j, e, inv in blocks:
+        y[j:e] = inv @ y[j:e]
+        y[e:] -= l[e:, j:e] @ y[j:e]
+    for j, e, inv in reversed(blocks):
+        y[j:e] = inv.T @ (y[j:e] - l[e:, j:e].T @ y[e:])
+    return y
+
+
 def _well_conditioned(gram) -> bool:
     """The Gram route's verdict: whether mu > 0 and gram - GRAM_TAU * mu * I
     is positive definite, i.e. lambda_min > GRAM_TAU * mu.
@@ -286,9 +377,8 @@ def _well_conditioned(gram) -> bool:
     mu = max(Rayleigh quotient after 30 power-iteration steps from the
     uniform vector, largest diagonal entry); both are lower bounds, so mu <=
     lambda_max (0.98 and 0.998 of it on morph-chain's 864x864 and 800x800
-    systems).  The Cholesky factorization is blocked and runs in place on
-    one shifted copy, because ``np.linalg.cholesky`` on that copy would also
-    hold LAPACK's buffer and the factor.  ``gram`` is left as it was.
+    systems).  ``_cholesky`` runs on one shifted copy, and ``gram`` is left
+    as it was.
     """
     n = gram.shape[0]
     x = np.full(n, n ** -0.5)
@@ -304,19 +394,4 @@ def _well_conditioned(gram) -> bool:
         return False
     a = gram.copy()
     a.flat[:: n + 1] -= GRAM_TAU * mu
-    block = 128
-    for j in range(0, n, block):
-        e = min(j + block, n)
-        try:
-            l_jj = np.linalg.cholesky(a[j:e, j:e])
-        except np.linalg.LinAlgError:
-            return False
-        if e == n:
-            break
-        # rows e: of this column block of the factor (multiplying by the
-        # small block's inverse is 40% faster than np.linalg.solve), then
-        # the lower part of the trailing update, one column block at a time
-        panel = a[e:, j:e] @ np.linalg.inv(l_jj).T
-        for c in range(e, n, block):
-            a[c:, c : c + block] -= panel[c - e :] @ panel[c - e : c - e + block].T
-    return True
+    return _cholesky(a) is not None

@@ -28,6 +28,7 @@ from netmorph import (
     rebalance,
     same_pad_conv,
 )
+from netmorph import tensor_ops
 
 from test_verify import _net as verify_net
 
@@ -184,18 +185,19 @@ class TestMorphPractical:
     def test_paper_step_solves_channel_systems_only(self, monkeypatch):
         # (5:256)(1:64) on a (64, 32, 5, 5) conv: the 1x1 factor must be
         # solved as one 64x256 channel system (or its Gram matrix), not a
-        # dense 1600x6400 one, whether by lstsq or by solve
+        # dense 1600x6400 one, whether lstsq solves it or the Gram route
+        # factorizes it
         shapes = []
 
         def recording(fn):
-            def record(a, b, *args, **kwargs):
+            def record(a, *args, **kwargs):
                 shapes.append(np.shape(a))
-                return fn(a, b, *args, **kwargs)
+                return fn(a, *args, **kwargs)
 
             return record
 
         monkeypatch.setattr(np.linalg, "lstsq", recording(np.linalg.lstsq))
-        monkeypatch.setattr(np.linalg, "solve", recording(np.linalg.solve))
+        monkeypatch.setattr(tensor_ops, "_cholesky", recording(tensor_ops._cholesky))
         g = make_rng(38).standard_normal((64, 32, 5, 5))
         req = DepthMorphRequest(layer_index=0, c_l=256, k1=5, k2=1, seed=0)
         out = morph_practical(g, req)
@@ -214,6 +216,25 @@ class TestMorphPractical:
             return lstsq(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        g = make_rng(40).standard_normal((32, 48, 5, 5))
+        req = DepthMorphRequest(layer_index=0, c_l=96, k1=3, k2=3, seed=0)
+        out = morph_practical(g, req)
+        assert calls == []
+        err = np.linalg.norm(compose_filters(out.f_lo, out.f_hi) - g) / np.linalg.norm(g)
+        assert err <= req.tol
+
+    def test_3x3_pair_makes_no_lu_solve(self, monkeypatch):
+        # (3:96)(3:32) on a (32, 48, 5, 5) conv, morph-chain's depth step:
+        # each Gram matrix is solved through its own Cholesky factor, which
+        # costs half an LU factorization
+        calls = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b, *args, **kwargs):
+            calls.append(np.shape(a))
+            return solve(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
         g = make_rng(40).standard_normal((32, 48, 5, 5))
         req = DepthMorphRequest(layer_index=0, c_l=96, k1=3, k2=3, seed=0)
         out = morph_practical(g, req)

@@ -54,6 +54,15 @@ def test_serialize_is_canonical():
     assert serialize(deserialize(data)) == data
 
 
+def test_deserialized_net_shares_no_memory_with_the_buffer():
+    # the reader views the buffer in place; the net must still own its arrays
+    net = _sample_net()
+    buf = bytearray(serialize(net))
+    back = deserialize(buf)
+    buf[:] = bytes(len(buf))
+    assert back == net
+
+
 def test_parallel_layer_round_trip():
     rng = make_rng(1)
     net = NetworkDef(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netmorph import (
@@ -14,7 +14,7 @@ from netmorph import (
     make_rng,
     pad_filter,
 )
-from netmorph.tensor_ops import GRAM_TAU, _well_conditioned
+from netmorph.tensor_ops import GRAM_TAU, _cholesky, _cholesky_solve, _columns, _tall_gram, _well_conditioned
 
 from conftest import naive_compose, naive_conv
 
@@ -356,15 +356,16 @@ class TestFactorSolveProperties:
 
 
 @st.composite
-def gram_matrices(draw):
-    """A symmetric Q diag(lambda) Q^T, up to 300x300 so that
-    several 128-wide Cholesky blocks run.  "spread" draws the ratio
+def gram_matrices(draw, n=None, kinds=("spread", "singular", "zero")):
+    """A symmetric Q diag(lambda) Q^T, n x n or up to 300x300 so that
+    several Cholesky column blocks run.  "spread" draws the ratio
     lambda_min/lambda_max log-uniformly from [1e-12, 1] or from a decade on
     either side of the band [GRAM_TAU/2, 2*GRAM_TAU], where the verdict may
     go either way; "singular" zeroes some eigenvalues, and "zero" is the
     all-zero matrix."""
-    kind = draw(st.sampled_from(["spread", "singular", "zero"]))
-    n = draw(st.integers(2 if kind == "singular" else 1, 300))
+    kind = draw(st.sampled_from([k for k in kinds if n != 1 or k != "singular"]))
+    if n is None:
+        n = draw(st.integers(2 if kind == "singular" else 1, 300))
     if kind == "zero":
         return np.zeros((n, n))
     rng = make_rng(draw(st.integers(0, 2**16)))
@@ -393,3 +394,43 @@ class TestGramRoute:
         lam = np.linalg.eigvalsh(gram)
         assert _well_conditioned(gram) == bool(lam[-1] > 0 and lam[0] >= GRAM_TAU * lam[-1])
         assert gram.tobytes() == before.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # sizes on both sides of block edges (128 is a multiple of the
+        # block width), and any size
+        st.sampled_from([1, 127, 128, 129, 300, None]).flatmap(lambda n: gram_matrices(n, kinds=("spread",))),
+        st.integers(0, 2**16),
+    )
+    def test_cholesky_solve_matches_solve(self, gram, seed):
+        # on every matrix the verdict sends down the Gram route, the blocked
+        # factorization and its two block substitutions solve as LU does
+        assume(_well_conditioned(gram))
+        b = make_rng(seed).standard_normal((gram.shape[0], 3))
+        want = np.linalg.solve(gram, b)
+        factor = gram.copy()
+        inv_blocks = _cholesky(factor)
+        assert inv_blocks is not None
+        got = _cholesky_solve(factor, inv_blocks, b.copy())
+        # lambda_min/lambda_max >= GRAM_TAU bounds either error by ~eps/GRAM_TAU
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([3, 5]),
+        st.sampled_from([1, 3, 5]),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 2**16),
+    )
+    def test_tall_gram_is_the_columns_product(self, k1, k2, c_mid, c_in, seed):
+        # A^T A of a tall general-kernel system, from the fixed factor's
+        # channel autocorrelation, against the product of its columns
+        kt = k1 + k2 - 1
+        assume(c_in * kt * kt >= c_mid * k2 * k2)
+        batch = make_rng(seed).standard_normal((c_in, c_mid, k1, k1))
+        cols = _columns(batch, k2, k2 - 1)
+        want = cols @ cols.T
+        got = _tall_gram(batch, k2)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
