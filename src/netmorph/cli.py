@@ -98,8 +98,8 @@ def cmd_parse(args):
 
 def cmd_inspect(args):
     net = load_net(args.input)
-    # the notation has no stacked layer, so an arch= line would drop it
-    if not any(isinstance(layer, ParallelLayer) for layer in net.layers):
+    # the notation has no stacked layer and no pad, so an arch= line would drop them
+    if all(isinstance(l, PActLayer) or isinstance(l, ConvLayer) and 2 * l.pad == l.kernel - 1 for l in net.layers):
         print(f"arch={print_arch(net)}")
     for line in _layer_lines(net):
         print(line)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InfeasibleMorphError, ShapeError
-from .netdef import ConvLayer, NetworkDef, PActLayer, same_pad_conv
+from .netdef import ConvLayer, NetworkDef, PActLayer
 from .rng import make_rng
 from .tensor_ops import as_filter, lstsq_factor_step, pad_filter
 
@@ -213,6 +213,13 @@ def insert_depth(net: NetworkDef, req: DepthMorphRequest, algorithm: str = "prac
 def factor_chain(layers, index, factors, bias) -> list:
     """The layers that replace conv ``layers[index]`` by its factor chain.
 
+    The chain keeps the padding its target reads.  For a target of kernel k
+    and pad p and a chain of effective kernel k' (the factors' kernels
+    summed, less one per join), the first conv pads p + (k' - k)/2 and
+    every later conv pads 0.  Unpadded convolutions of one zero-padded blob
+    compose exactly, so the chain computes the target's filter zero-padded
+    to k' on the whole image, border included.
+
     Consecutive factor convs are joined by an identity-parameter (a=1)
     activation whose base is that of the activation following the parent
     conv, or ReLU when none follows.  Every conv keeps the parent's ``fc``
@@ -221,8 +228,11 @@ def factor_chain(layers, index, factors, bias) -> list:
     target = layers[index]
     nxt = layers[index + 1] if index + 1 < len(layers) else None
     base = nxt.base if isinstance(nxt, PActLayer) else "relu"
+    k_eff = 1 + sum(f.shape[2] - 1 for f in factors)
+    pad = target.pad + (k_eff - target.kernel) // 2
     chain = []
     for f in factors[:-1]:
-        chain += [same_pad_conv(f, fc=target.fc), PActLayer(base=base, a=1.0)]
-    chain.append(same_pad_conv(factors[-1], bias=bias, fc=target.fc))
+        chain += [ConvLayer(f, np.zeros(len(f)), pad, target.fc), PActLayer(base=base, a=1.0)]
+        pad = 0
+    chain.append(ConvLayer(factors[-1], bias, pad, target.fc))
     return chain

@@ -1,19 +1,18 @@
 """Stand-alone width morphing, kernel-size morphing, and subnet morphing
 (sequential and stacked).
 
-All operations return a new network whose function matches the parent:
-exactly everywhere for width and kernel-size morphs, and on the interior
-region (away from an image border determined by kernel growth) for
-subnet morphs.
+All operations return a new network whose function matches the parent
+exactly everywhere, image borders included: every new conv chain keeps the
+padding its target reads (``factor_chain``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InfeasibleMorphError, ShapeError
 from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _check_parity, _check_tol, _conv_at, factor_chain, morph_practical
-from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer, pact_eval, same_pad_conv
+from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer, pact_eval
 from .rng import make_rng
 from .tensor_ops import as_filter, pad_filter
 
@@ -108,8 +107,8 @@ def widen(net: NetworkDef, req: WidthMorphRequest) -> NetworkDef:
     w_lo = np.concatenate([lo.weights, new_in])[perm]
     b_lo = np.concatenate([lo.bias, np.zeros(delta)])[perm]
     w_hi = np.concatenate([hi.weights, new_out], axis=1)[:, perm]
-    layers[i] = same_pad_conv(w_lo, bias=b_lo, fc=lo.fc)
-    layers[j] = same_pad_conv(w_hi, bias=hi.bias, fc=hi.fc)
+    layers[i] = replace(lo, weights=w_lo, bias=b_lo)
+    layers[j] = replace(hi, weights=w_hi)
     return net.with_layers(layers)
 
 
@@ -118,14 +117,15 @@ def widen(net: NetworkDef, req: WidthMorphRequest) -> NetworkDef:
 
 
 def expand_kernel(net: NetworkDef, layer_index: int, new_kernel: int) -> NetworkDef:
-    """Grow a conv layer's kernel by centered zero padding, bumping its
-    padding to match.  Exact everywhere, including image borders."""
+    """Grow a conv layer's kernel by a centered ring of zeros and its pad by
+    the ring's width (``factor_chain`` of one factor).  Exact everywhere,
+    including image borders."""
     layers = list(net.layers)
     target = _conv_at(layers, layer_index)
     if new_kernel % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {new_kernel}")
     w = pad_filter(target.weights, new_kernel)
-    layers[layer_index] = same_pad_conv(w, bias=target.bias, fc=target.fc)
+    layers[layer_index : layer_index + 1] = factor_chain(layers, layer_index, [w], target.bias)
     return net.with_layers(layers)
 
 
@@ -180,7 +180,8 @@ def morph_sequential(g, widths, kernels, seed: int = 0, tol: float = DEFAULT_TOL
 
 def morph_stacked(net: NetworkDef, req: SubnetMorphRequest) -> NetworkDef:
     """Replace one conv layer by parallel sequential paths whose outputs
-    sum to the parent layer's output (interior region for kernel growth)."""
+    sum to the parent layer's output on the whole image; each path pads
+    for its own effective kernel."""
     layers = list(net.layers)
     target = _conv_at(layers, req.layer_index)
     k = target.kernel

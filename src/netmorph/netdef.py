@@ -14,7 +14,10 @@ A network is an ordered chain of layers over (c, h, w) blobs:
 
 Layers are immutable after construction; every transformation builds a
 new network.  Layers and networks compare by value: two convs are equal
-when their weights (shape and values), bias and ``fc`` hint are.
+when their weights (shape and values), bias, pad and ``fc`` hint are.
+A conv's pad is any integer >= 0: a morph pads each new conv so that the
+child computes its parent's function on the whole image (see
+``morph_depth.factor_chain``), which is not same-padding in general.
 
 Every layer type runs batched (n, c, h, w) arrays through one engine:
 ``params()`` gives its parameter dict p, ``forward(x, p)`` returns the
@@ -129,7 +132,7 @@ def pact_grad(base: str, a: float, x):
 class ConvLayer:
     weights: np.ndarray  # (c_out, c_in, k, k)
     bias: np.ndarray  # (c_out,)
-    pad: int
+    pad: int  # any integer >= 0: zero rows and columns on each side of the input
     fc: bool = False
 
     def __post_init__(self):
@@ -142,8 +145,8 @@ class ConvLayer:
             raise ShapeError("bias contains non-finite entries")
         if w.shape[2] % 2 == 0:
             raise ShapeError(f"kernel size must be odd, got {w.shape[2]}")
-        if self.pad != (w.shape[2] - 1) // 2:
-            raise ShapeError(f"pad {self.pad} violates same-padding for kernel {w.shape[2]}")
+        if not (isinstance(self.pad, int) and self.pad >= 0):
+            raise ShapeError(f"pad must be an integer >= 0, got {self.pad!r}")
         w.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -152,8 +155,9 @@ class ConvLayer:
     def __eq__(self, other):
         if type(other) is not ConvLayer:
             return NotImplemented
-        # array_equal is False on a shape mismatch; pad follows the kernel
-        return self.fc == other.fc and np.array_equal(self.weights, other.weights) and np.array_equal(self.bias, other.bias)
+        # array_equal is False on a shape mismatch
+        same = (self.pad, self.fc) == (other.pad, other.fc)
+        return same and np.array_equal(self.weights, other.weights) and np.array_equal(self.bias, other.bias)
 
     @property
     def c_out(self):
@@ -286,7 +290,8 @@ def backward_pass(layers, params, caches, dy, need_dx=True):
 
 
 def same_pad_conv(weights, bias=None, fc=False) -> ConvLayer:
-    """Convenience constructor enforcing the same-padding policy."""
+    """A conv padded by (k-1)/2, so that its output is as large as its
+    input; the layers ``build_network`` makes."""
     w = as_filter(weights)
     if bias is None:
         bias = np.zeros(w.shape[0])
@@ -297,28 +302,51 @@ def same_pad_conv(weights, bias=None, fc=False) -> ConvLayer:
 # networks
 
 
-def _chain_channels(layers, c_in):
-    """Walk the layer chain checking channel compatibility; return c_out."""
-    c = c_in
+def _convs(layers):
+    """Every conv layer in ``layers``, those on stacked paths included."""
+    for layer in layers:
+        if isinstance(layer, ConvLayer):
+            yield layer
+        elif isinstance(layer, ParallelLayer):
+            for path in layer.paths:
+                yield from _convs(path)
+
+
+def _chain_shape(layers, shape, limit):
+    """Walk the layer chain from a blob of ``shape`` (c, h, w), checking
+    channels and spatial sizes; return the output shape.  No blob may be
+    empty, or higher or wider than ``limit`` (h_max, w_max)."""
+    c, h, w = shape
     for i, layer in enumerate(layers):
         if isinstance(layer, ConvLayer):
             if layer.c_in != c:
                 raise ShapeError(f"layer {i}: expects {layer.c_in} input channels, gets {c}")
-            c = layer.c_out
+            growth = 2 * layer.pad - layer.kernel + 1
+            c, h, w = layer.c_out, h + growth, w + growth
+            if h < 1 or w < 1:
+                raise ShapeError(f"layer {i}: non-positive output size {h}x{w} for kernel {layer.kernel}, pad {layer.pad}")
+            if h > limit[0] or w > limit[1]:
+                raise ShapeError(f"layer {i}: pad {layer.pad} grows a blob to {h}x{w}, past {limit[0]}x{limit[1]}")
         elif isinstance(layer, ParallelLayer):
-            outs = {_chain_channels(path, c) for path in layer.paths}
+            outs = {_chain_shape(path, (c, h, w), limit) for path in layer.paths}
             if len(outs) != 1:
-                raise ShapeError(f"layer {i}: parallel paths disagree on output channels {sorted(outs)}")
-            c = outs.pop()
-        elif isinstance(layer, PActLayer):
-            pass
-        else:
+                raise ShapeError(f"layer {i}: parallel paths disagree on output shape {sorted(outs)}")
+            c, h, w = outs.pop()
+        elif not isinstance(layer, PActLayer):
             raise ShapeError(f"layer {i}: unknown layer type {type(layer).__name__}")
-    return c
+    return c, h, w
 
 
 @dataclass(frozen=True)
 class NetworkDef:
+    """A chain of layers over blobs of ``input_shape`` (c, h, w).
+
+    Construction walks the chain and keeps its output shape as
+    ``_output_shape``.  A conv may pad more or less than same-padding, but
+    no blob may grow past the input by more than the sum of k - 1 over the
+    net's convs, which bounds every morph child of a same-padded net.
+    """
+
     input_shape: tuple  # (c, h, w)
     layers: tuple = field(default_factory=tuple)
 
@@ -327,9 +355,11 @@ class NetworkDef:
         if len(shape) != 3 or any(v < 1 for v in shape):
             raise ShapeError(f"input shape must be (c, h, w) positive, got {self.input_shape}")
         layers = tuple(self.layers)
-        _chain_channels(layers, shape[0])
+        growth = sum(layer.kernel - 1 for layer in _convs(layers))
+        out = _chain_shape(layers, shape, (shape[1] + growth, shape[2] + growth))
         object.__setattr__(self, "input_shape", shape)
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "_output_shape", out)
 
     def conv_indices(self):
         """Raw indices of top-level conv layers, in order."""

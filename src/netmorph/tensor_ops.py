@@ -10,7 +10,9 @@ Conventions used throughout the package:
 * "Convolution" means cross-correlation (no kernel flip), the usual
   deep-learning orientation.  Filter composition below is defined with
   the matching orientation, so stacking two convolutions equals a single
-  convolution with the composed filter (up to the image border).
+  convolution with the composed filter, exactly when the first pads the
+  input and the second pads nothing: only a zero-padded intermediate blob
+  breaks the composition at the image border.
 
 Everything runs on one kernel: ``conv_batch``, a matrix product of a
 filter with the channel-major columns of a batch (``_columns``).  Filter
@@ -152,10 +154,14 @@ def conv_filter_grad(x, dy, k: int, pad: int) -> np.ndarray:
 
 
 def conv_input_grad(dy, f, pad: int) -> np.ndarray:
-    """Gradient dx of sum(dy * conv_batch(x, f, pad)), for pad <= k-1: the
-    adjoint convolution, ``conv_batch`` of dy with the adjoint filter,
-    padded by k-1-pad."""
-    return conv_batch(dy, _adjoint(f), f.shape[2] - 1 - pad)
+    """Gradient dx of sum(dy * conv_batch(x, f, pad)): the adjoint
+    convolution, ``conv_batch`` of dy with the adjoint filter, padded by
+    k-1-pad.  For pad > k-1 that padding is negative, and dy is cropped by
+    pad-(k-1) on every side instead: those outputs read only zero padding."""
+    q = f.shape[2] - 1 - pad
+    if q < 0:
+        dy = dy[:, :, -q:q, -q:q]
+    return conv_batch(dy, _adjoint(f), max(q, 0))
 
 
 def compose_filters(f_lo, f_hi) -> np.ndarray:

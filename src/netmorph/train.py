@@ -178,10 +178,20 @@ def _shaped_images(net: NetworkDef, images):
     return images.reshape((images.shape[0],) + want)
 
 
+def _checked_labels(net: NetworkDef, dataset: Dataset) -> np.ndarray:
+    """The dataset's labels, each of which must name one of the net's
+    c*h*w outputs."""
+    labels = np.asarray(dataset.labels)
+    classes = math.prod(net._output_shape)
+    if labels.size and not (labels.min() >= 0 and labels.max() < classes):
+        raise ShapeError(f"labels span {labels.min()}..{labels.max()}, but the network has {classes} outputs")
+    return labels
+
+
 def train_sgd(net: NetworkDef, dataset: Dataset, cfg: TrainConfig):
     """Minibatch SGD with momentum; returns (trained net, per-epoch loss)."""
     x_all = _shaped_images(net, dataset.images)
-    y_all = np.asarray(dataset.labels)
+    y_all = _checked_labels(net, dataset)
     state = _TrainState(net)
     rng = make_rng(cfg.seed)
     trace = []
@@ -200,7 +210,8 @@ def train_sgd(net: NetworkDef, dataset: Dataset, cfg: TrainConfig):
 
 def evaluate(net: NetworkDef, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions."""
-    return float((predictions(net, dataset) == np.asarray(dataset.labels)).mean())
+    labels = _checked_labels(net, dataset)
+    return float((predictions(net, dataset) == labels).mean())
 
 
 def predictions(net: NetworkDef, dataset: Dataset) -> np.ndarray:

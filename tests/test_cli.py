@@ -66,17 +66,18 @@ class TestParseInspect:
         assert "arch=(5:128)(1:32)(5:128)(1:32)" in stdout
 
     @pytest.mark.parametrize(
-        "morph",
+        "morph, has_arch",
         [
-            (),
-            ("--op", "depth", "--layer", "0", "--cl", "32", "--k1", "3", "--k2", "1"),
-            ("--op", "width", "--layer", "0", "--width", "12"),
-            ("--op", "ksize", "--layer", "1", "--kernel", "5"),
-            ("--op", "subnet", "--layer", "0", "--paths", "(3:8)@0.5,(3:16)(1:8)@0.5"),
+            ((), True),
+            (("--op", "depth", "--layer", "0", "--cl", "32", "--k1", "3", "--k2", "1"), True),
+            (("--op", "width", "--layer", "0", "--width", "12"), True),
+            (("--op", "ksize", "--layer", "1", "--kernel", "5"), True),
+            (("--op", "depth", "--layer", "0", "--cl", "32", "--k1", "3", "--k2", "3"), False),
+            (("--op", "subnet", "--layer", "0", "--paths", "(3:8)@0.5,(3:16)(1:8)@0.5"), False),
         ],
-        ids=["parent", "depth", "width", "ksize", "subnet"],
+        ids=["parent", "depth", "width", "ksize", "depth-3x3", "subnet"],
     )
-    def test_inspect_arch_parses_back_to_the_conv_skeleton(self, morph, parent_file, tmp_path, capsys):
+    def test_inspect_arch_parses_back_to_the_conv_skeleton(self, morph, has_arch, parent_file, tmp_path, capsys):
         path = parent_file
         if morph:
             path = tmp_path / "child.nmph"
@@ -87,8 +88,10 @@ class TestParseInspect:
         assert code == EXIT_OK
         arch = [line[len("arch=") :] for line in stdout.splitlines() if line.startswith("arch=")]
         stacked = any(isinstance(layer, ParallelLayer) for layer in net.layers)
-        # the notation has no stacked layer, so a net with one gets no arch= line
-        assert len(arch) == (0 if stacked else 1)
+        same_padded = all(2 * layer.pad == layer.kernel - 1 for layer in net.layers if isinstance(layer, ConvLayer))
+        # the notation has neither stacked layers nor pads, so a net with
+        # either (a stack, or a depth child's 3x3 pair padding 2 and 0) gets no arch= line
+        assert len(arch) == int(has_arch) and has_arch == (same_padded and not stacked)
         for text in arch:
             skeleton = [ConvSpec(layer.kernel, layer.c_out) for layer in net.layers if isinstance(layer, ConvLayer)]
             assert parse_arch(text) == skeleton
@@ -379,7 +382,7 @@ class TestMorphVerify:
             assert code == EXIT_OK, stdout
         code, stdout, _ = run(capsys, "verify", "-a", str(nets[0]), "-b", str(nets[-1]))
         assert code == EXIT_OK
-        assert "crop_border=3" in stdout and "pass=true" in stdout
+        assert "crop_border=0" in stdout and "pass=true" in stdout
 
 
 @pytest.fixture
@@ -421,6 +424,16 @@ class TestTrainEval:
         code, _, stderr = run(capsys, command, "-i", str(net), "--data-dir", str(idx_dir), *output)
         assert code == EXIT_USAGE
         assert "error=dataset items" in stderr
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_labels_beyond_the_outputs_exit_2(self, command, idx_dir, tmp_path, capsys):
+        # IDX labels run 0-9; the net has 4 outputs
+        net = tmp_path / "net.nmph"
+        run(capsys, "parse", "--arch", "(1:4)", "--input-shape", "16,1,1", "-o", str(net))
+        output = ["-o", str(tmp_path / "out.nmph")] if command == "train" else []
+        code, stdout, stderr = run(capsys, command, "-i", str(net), "--data-dir", str(idx_dir), *output)
+        assert code == EXIT_USAGE and stdout == ""
+        assert "error=labels span" in stderr and "4 outputs" in stderr and "Traceback" not in stderr
 
     @pytest.mark.parametrize(
         "option, value, name",

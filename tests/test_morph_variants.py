@@ -12,18 +12,25 @@ from netmorph import (
     ShapeError,
     SubnetMorphRequest,
     WidthMorphRequest,
+    build_network,
     check_preservation,
     compose_filters,
+    deserialize,
     expand_kernel,
+    forward,
     insert_depth,
     make_rng,
     morph_practical,
     morph_sequential,
     morph_stacked,
     pad_filter,
+    parse_arch,
     same_pad_conv,
+    serialize,
     widen,
 )
+from netmorph.morph_depth import factor_chain
+from netmorph.netdef import _convs
 
 
 def _two_conv_net(seed=0, base="relu", c_mid=4, k=3, hw=8):
@@ -343,3 +350,43 @@ class TestMorphStacked:
     def test_non_finite_weights_rejected(self, weights):
         with pytest.raises(ShapeError, match="finite"):
             SubnetMorphRequest(layer_index=0, path_specs=[[(3, 4)]] * len(weights), split_weights=weights)
+
+
+def _sequential(net, i, widths, kernels, seed=0):
+    """``net`` with conv i replaced by the chain ``morph_sequential`` factors it into."""
+    layers = list(net.layers)
+    target = layers[i]
+    factors = morph_sequential(target.weights, widths, kernels, seed=seed)
+    layers[i : i + 1] = factor_chain(layers, i, factors, target.bias)
+    return net.with_layers(layers)
+
+
+WHOLE_OUTPUT_CHAIN = [
+    # (name, morph, the new or changed convs' (kernel, pad) in net order)
+    ("depth 3x3 -> 3x3 o 3x3", lambda net: insert_depth(net, DepthMorphRequest(0, c_l=16, k1=3, k2=3, seed=1)), [(3, 2), (3, 0)]),
+    ("widen the pad-2 conv", lambda net: widen(net, WidthMorphRequest(0, new_width=20, seed=2)), [(3, 2), (3, 0)]),
+    ("expand the pad-0 conv", lambda net: expand_kernel(net, 2, 5), [(5, 1)]),
+    ("depth 3x3 -> 1x1 o 3x3", lambda net: insert_depth(net, DepthMorphRequest(6, c_l=8, k1=1, k2=3, seed=3)), [(1, 1), (3, 0)]),
+    ("sequential 5x5 pad 1 -> 3x3 o 1x1 o 3x3", lambda net: _sequential(net, 2, [24, 24], [3, 1, 3], seed=4), [(3, 1), (1, 0), (3, 0)]),
+    ("stacked 5x5 -> 5x5 + 3x3 o 5x5", lambda net: morph_stacked(
+        net, SubnetMorphRequest(8, [[(5, 4)], [(3, 8), (5, 4)]], [0.3, 0.7], seed=5)), [(5, 2), (3, 3), (5, 0)]),
+]
+
+
+def test_every_morph_matches_its_parent_on_the_whole_output():
+    # each child is saved and loaded, then compared, border included, with
+    # its parent and with the first net of the chain
+    root = build_network(parse_arch("(3:4)(5:4)(3:3)"), (2, 8, 8), seed=6, base="tanh")
+    rng = make_rng(7)
+    xs = [rng.standard_normal(root.input_shape) for _ in range(3)]
+    nets = [root]
+    for name, morph, pads in WHOLE_OUTPUT_CHAIN:
+        child = deserialize(serialize(morph(nets[-1])))
+        convs = [(c.kernel, c.pad) for c in _convs(child.layers)]
+        assert child != nets[-1] and all(kp in convs for kp in pads), name
+        for parent in (nets[-1], root):
+            dev = max(np.abs(forward(parent, x) - forward(child, x)).max() for x in xs)
+            assert dev <= 1e-8, f"{name}: max deviation {dev:.3e}"
+            report = check_preservation(parent, child, n_samples=3, tol=1e-8)
+            assert report.pass_ and report.crop_border == 0, f"{name}: {report.to_text()}"
+        nets.append(child)

@@ -1,5 +1,7 @@
 """Layer IR, parametric activations, and forward execution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -113,9 +115,17 @@ class TestPActGrad:
 
 
 class TestLayers:
-    def test_same_padding_enforced(self):
-        with pytest.raises(ShapeError):
-            ConvLayer(weights=np.zeros((1, 1, 3, 3)), bias=np.zeros(1), pad=0)
+    def test_negative_pad_rejected(self):
+        for pad in (-1, 1.5):
+            with pytest.raises(ShapeError, match="pad must be an integer >= 0"):
+                ConvLayer(weights=np.zeros((1, 1, 3, 3)), bias=np.zeros(1), pad=pad)
+
+    @pytest.mark.parametrize("k, pad, side", [(3, 0, 3), (3, 3, 9), (1, 2, 9), (5, 2, 5)])
+    def test_any_pad_walks_the_spatial_size(self, k, pad, side):
+        conv = ConvLayer(weights=np.zeros((2, 1, k, k)), bias=np.zeros(2), pad=pad)
+        net = NetworkDef(input_shape=(1, 5, 5), layers=[conv, same_pad_conv(np.zeros((3, 2, 5, 5)))])
+        assert net._output_shape == (3, side, side)
+        assert forward(net, np.ones((1, 5, 5))).shape == (3, side, side)
 
     def test_bias_length_checked(self):
         with pytest.raises(ShapeError):
@@ -210,6 +220,11 @@ class TestValueEquality:
         stack = ParallelLayer(paths=((_changed_conv(path[0], what),), twin.layers[2].paths[1]))
         assert stack != net.layers[2]
         assert twin.with_layers([*twin.layers[:2], stack, twin.layers[3]]) != net
+
+    def test_pad_change_breaks_equality(self):
+        conv = _equality_net(5).layers[0]
+        assert replace(conv, pad=conv.pad + 1) != conv
+        assert replace(conv, pad=conv.pad) == conv
 
     def test_kernel_growth_breaks_equality(self):
         conv = _equality_net(3).layers[0]

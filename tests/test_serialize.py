@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmorph import (
+    ConvLayer,
     FormatError,
     NetworkDef,
     PActLayer,
@@ -201,8 +202,16 @@ def rewrite_manifest(data, edit):
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def _stack_first_conv_with_pads(m, pads):
+    """Replace the first conv by a stack of copies of it, one per pad."""
+    m["layers"][0] = {"kind": "parallel", "paths": [[dict(m["layers"][0], pad=p)] for p in pads]}
+
+
 INVALID_LAYERS = {
-    "pad0-kernel3": lambda m: m["layers"][0].update(pad=0),
+    "pad-negative": lambda m: m["layers"][0].update(pad=-1),
+    "output-empty": lambda m: (m.update(input_shape=[2, 2, 2]), m["layers"][0].update(pad=0)),
+    "stacked-sizes-differ": lambda m: _stack_first_conv_with_pads(m, [1, 0]),
+    "pad-past-growth-bound": lambda m: m["layers"][2].update(pad=10**6),
     "input-channels-mismatch": lambda m: m.update(input_shape=[5, 6, 6]),
     "pad-float": lambda m: m["layers"][0].update(pad=1.0),
     "fc-string": lambda m: m["layers"][2].update(fc="no"),
@@ -219,6 +228,22 @@ def test_invalid_layers_with_valid_checksum_rejected(edit):
     data = rewrite_manifest(serialize(_sample_net()), edit)
     with pytest.raises(FormatError, match="malformed manifest"):
         deserialize(data)
+
+
+def test_non_same_pads_round_trip_byte_for_byte():
+    rng = make_rng(5)
+
+    def conv(c_out, c_in, k, pad):
+        return ConvLayer(rng.standard_normal((c_out, c_in, k, k)), rng.standard_normal(c_out), pad)
+
+    # a depth child's pads, a 1x1 conv padding past its kernel, and a stack of both
+    paths = ((conv(4, 3, 1, 0),), (conv(5, 3, 3, 0), PActLayer(base="relu", a=1.0), conv(4, 5, 1, 1)))
+    net = NetworkDef(input_shape=(2, 6, 6), layers=[conv(3, 2, 3, 2), ParallelLayer(paths=paths), conv(2, 4, 5, 0)])
+    assert net._output_shape == (2, 4, 4)
+    data = serialize(net)
+    back = deserialize(data)
+    assert back == net and back.layers[1].paths[1][2].pad == 1
+    assert serialize(back) == data
 
 
 def test_rewrite_manifest_without_edit_is_identity():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from netmorph import (
+    ConvLayer,
     Dataset,
+    DepthMorphRequest,
     FormatError,
     NetworkDef,
     PActLayer,
@@ -15,12 +17,15 @@ from netmorph import (
     ShapeError,
     SubnetMorphRequest,
     TrainConfig,
+    build_network,
     check_preservation,
     deserialize,
     evaluate,
+    insert_depth,
     load_mnist_idx,
     make_rng,
     morph_stacked,
+    parse_arch,
     predictions,
     same_pad_conv,
     serialize,
@@ -265,30 +270,8 @@ class TestGradients:
         rng = make_rng(13)
         x = rng.standard_normal((6, 2, 5, 5))
         y = rng.integers(0, 3 * 5 * 5, size=6)
-        _, grads = state.forward_backward(x, y)
-        eps = 1e-6
-
-        def central_difference(set_value, orig):
-            set_value(orig + eps)
-            up, _ = state.forward_backward(x, y)
-            set_value(orig - eps)
-            down, _ = state.forward_backward(x, y)
-            set_value(orig)
-            return (up - down) / (2 * eps)
-
-        checked = []
-        for i, p in enumerate(state.params):
-            for key, value in p.items():
-                if isinstance(value, float):
-                    fd = central_difference(lambda v: p.__setitem__(key, v), value)
-                    assert grads[i][key] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-                else:
-                    flat, gflat = value.reshape(-1), grads[i][key].reshape(-1)
-                    for j in range(flat.size):
-                        fd = central_difference(lambda v: flat.__setitem__(j, v), flat[j])
-                        assert gflat[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-                checked.append(key)
-        assert checked == ["w", "b", "a", "0.0.w", "0.0.b", "1.0.w", "1.0.b", "1.1.a", "1.2.w", "1.2.b"]
+        keys = _check_against_central_differences(state, x, y)
+        assert keys == ["w", "b", "a", "0.0.w", "0.0.b", "1.0.w", "1.0.b", "1.1.a", "1.2.w", "1.2.b"]
 
     @pytest.mark.parametrize(
         "make_net, keys",
@@ -302,34 +285,59 @@ class TestGradients:
         # The input gradient of the first layer is not computed in training;
         # every parameter gradient, the first layer's included, must still be.
         net = make_net(17)
-        state = _TrainState(net)
         rng = make_rng(18)
         x = rng.standard_normal((6,) + net.input_shape)
         y = rng.integers(0, 2 * 4 * 4, size=6)
-        _, grads = state.forward_backward(x, y)
-        eps = 1e-6
+        assert _check_against_central_differences(_TrainState(net), x, y) == keys
 
-        def central_difference(set_value, orig):
-            set_value(orig + eps)
-            up, _ = state.forward_backward(x, y)
-            set_value(orig - eps)
-            down, _ = state.forward_backward(x, y)
-            set_value(orig)
-            return (up - down) / (2 * eps)
+    @pytest.mark.parametrize("k, pad", [(1, 2), (3, 3)], ids=["1x1-pad2", "3x3-pad3"])
+    def test_pad_past_the_kernel_matches_finite_differences(self, k, pad):
+        # The middle conv pads more than k - 1, so its input gradient crops
+        # dy; the first conv's gradients are computed through it.
+        rng = make_rng(19)
+        middle = ConvLayer(rng.standard_normal((3, 3, k, k)) * 0.4, rng.standard_normal(3) * 0.1, pad)
+        net = NetworkDef(
+            input_shape=(2, 4, 4),
+            layers=[
+                _random_conv(rng, 3, 2, 3),
+                PActLayer(base="tanh", a=0.4),
+                middle,
+                PActLayer(base="sigmoid", a=0.6),
+                ConvLayer(rng.standard_normal((2, 3, 5, 5)) * 0.2, np.zeros(2), 0),
+            ],
+        )
+        assert net._output_shape == (2, 4, 4)
+        x = rng.standard_normal((5, 2, 4, 4))
+        y = rng.integers(0, 2 * 4 * 4, size=5)
+        assert _check_against_central_differences(_TrainState(net), x, y) == ["w", "b", "a", "w", "b", "a", "w", "b"]
 
-        checked = []
-        for i, p in enumerate(state.params):
-            for key, value in p.items():
-                if isinstance(value, float):
-                    fd = central_difference(lambda v: p.__setitem__(key, v), value)
-                    assert grads[i][key] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-                else:
-                    flat, gflat = value.reshape(-1), grads[i][key].reshape(-1)
-                    for j in range(flat.size):
-                        fd = central_difference(lambda v: flat.__setitem__(j, v), flat[j])
-                        assert gflat[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-                checked.append(key)
-        assert checked == keys
+
+def _check_against_central_differences(state, x, y, eps=1e-6):
+    """Check every parameter gradient of ``state`` on the minibatch (x, y)
+    against a central difference of the loss; return the keys checked."""
+    _, grads = state.forward_backward(x, y)
+
+    def central_difference(set_value, orig):
+        set_value(orig + eps)
+        up, _ = state.forward_backward(x, y)
+        set_value(orig - eps)
+        down, _ = state.forward_backward(x, y)
+        set_value(orig)
+        return (up - down) / (2 * eps)
+
+    checked = []
+    for i, p in enumerate(state.params):
+        for key, value in p.items():
+            if isinstance(value, float):
+                fd = central_difference(lambda v: p.__setitem__(key, v), value)
+                assert grads[i][key] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            else:
+                flat, gflat = value.reshape(-1), grads[i][key].reshape(-1)
+                for j in range(flat.size):
+                    fd = central_difference(lambda v: flat.__setitem__(j, v), flat[j])
+                    assert gflat[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            checked.append(key)
+    return checked
 
 
 class TestTrainingCost:
@@ -501,6 +509,30 @@ class TestTrainSgd:
         assert not np.array_equal(stack.paths[1][0].weights, trained_stack.paths[1][0].weights)
         blob = serialize(trained)
         assert serialize(deserialize(blob)) == blob
+
+
+    def test_depth_child_with_a_1x1_lower_factor_trains(self):
+        # 5x5 -> 1x1 o 5x5: the 1x1 factor pads 2, past its kernel
+        rng = make_rng(15)
+        parent = build_network(parse_arch("(3:4)(5:4)"), (2, 6, 6), seed=15)
+        child = insert_depth(parent, DepthMorphRequest(2, c_l=8, k1=1, k2=5, seed=1))
+        lower = child.layers[2]
+        assert (lower.kernel, lower.pad, child.layers[4].pad) == (1, 2, 0)
+        assert check_preservation(parent, child, n_samples=3, tol=1e-8).pass_
+        ds = Dataset(images=rng.standard_normal((24, 2, 6, 6)), labels=rng.integers(0, 4 * 6 * 6, size=24))
+        cfg = TrainConfig(learning_rate=0.05, a_learning_rate=0.05, batch_size=8, epochs=1, seed=0)
+        trained, trace = train_sgd(child, ds, cfg)
+        assert len(trace) == 1 and np.isfinite(trace[0])
+        assert not np.array_equal(trained.layers[2].weights, lower.weights)
+
+    @pytest.mark.parametrize("bad", [3, -1], ids=["past-the-outputs", "negative"])
+    def test_label_outside_the_outputs_rejected(self, bad):
+        net = micro_net(5)  # 3 outputs
+        ds = Dataset(images=np.zeros((4, 4, 1, 1)), labels=np.array([0, 1, 2, bad]))
+        with pytest.raises(ShapeError, match="3 outputs"):
+            train_sgd(net, ds, TrainConfig(epochs=1))
+        with pytest.raises(ShapeError, match="3 outputs"):
+            evaluate(net, ds)
 
 
 class TestEvaluate:

@@ -1,6 +1,7 @@
 """Preservation checking and occupancy."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from netmorph import (
     widen,
 )
 from netmorph import netdef
-from netmorph.verify import PreservationReport, crop_border_for, support_radius
+from netmorph.verify import PreservationReport, _align
 
 
 def _net(seed=0, k=3, hw=8):
@@ -58,35 +59,6 @@ def nan_output_pair():
     layers = list(parent.layers)
     layers[lo], layers[hi] = same_pad_conv(w_lo), same_pad_conv(w_hi)
     return parent, parent.with_layers(layers)
-
-
-class TestSupportRadius:
-    def test_dense_filter(self):
-        assert support_radius(np.ones((1, 1, 5, 5))) == 2
-
-    def test_zero_ring_ignored(self):
-        f = np.zeros((1, 1, 5, 5))
-        f[0, 0, 1:4, 1:4] = 1.0
-        assert support_radius(f) == 1
-
-    def test_delta_filter(self):
-        assert support_radius(identity_filter(3, 5)) == 0
-
-    @pytest.mark.parametrize(
-        "k, tap, radius",
-        [(5, (0, 4), 2), (5, (4, 0), 2), (7, (3, 4), 1), (7, (0, 3), 3), (7, (3, 1), 2)],
-        ids=["corner", "other_corner", "right_of_centre", "top_edge", "left_of_centre"],
-    )
-    def test_single_tap(self, k, tap, radius):
-        f = np.zeros((2, 3, k, k))
-        f[1, 2][tap] = -1.0
-        assert support_radius(f) == radius
-
-    def test_all_zero_filter(self):
-        f = np.zeros((2, 2, 5, 5))
-        assert support_radius(f) == 0
-        f[0, 1, 0, 0] = 1e-13  # below the structural-zero threshold
-        assert support_radius(f) == 0
 
 
 class TestCheckPreservation:
@@ -167,33 +139,33 @@ def _depth_3x3_pair(seed=0):
 
 
 class TestCropBorder:
+    """Every morph keeps the padding its target reads, so nothing is cropped:
+    each child matches its parent on the whole output, border included."""
+
     def test_identical_nets_no_crop(self):
-        assert crop_border_for(_net(110), _net(110)) == 0
+        report = check_preservation(_net(110), _net(110), n_samples=2, tol=0.0)
+        assert report.crop_border == 0 and report.exact_mode and report.pass_
 
     def test_kernel_growth_plus_downstream_spread(self):
+        # a 3x3 target grown to a 3+3 pair ahead of a 3x3 conv
         parent = _net(111)
         child = insert_depth(
             parent, DepthMorphRequest(layer_index=0, c_l=12, k1=3, k2=3, seed=0), algorithm="general"
         )
-        border = crop_border_for(parent, child)
-        # head growth from the composed 3+3 pair, spread by the trailing 3x3 conv
-        assert 1 <= border <= 3
+        assert child.layers[0].pad == 2 and child.layers[2].pad == 0
+        report = check_preservation(parent, child, n_samples=5, tol=1e-8)
+        assert report.pass_ and report.crop_border == 0, report.to_text()
 
-    def test_intermediate_zero_padding_is_cropped(self):
-        # 5x5 -> 3x3 o 3x3 grows no support, yet the upper 3x3 reads a
-        # zero-padded blob: 1 pixel, spread by 2 more in the tail
+    def test_intermediate_zero_padding_is_kept(self):
+        # 5x5 -> 3x3 o 3x3: the lower 3x3 reads the target's padding, and the
+        # upper one reads the lower one's whole output, unpadded
         parent, child = _depth_3x3_pair(113)
         rng = make_rng(113)
-        dev = np.zeros(parent.input_shape[1:])
         for _ in range(3):
             x = rng.standard_normal(parent.input_shape)
-            dev = np.maximum(dev, np.abs(forward(parent, x) - forward(child, x)).max(axis=0))
-        h = dev.shape[0]
-        disagree = min(b for b in range(h // 2) if dev[b : h - b, b : h - b].max() <= 1e-8)
-        assert disagree == 3
+            assert np.abs(forward(parent, x) - forward(child, x)).max() <= 1e-8
         report = check_preservation(parent, child, n_samples=10, tol=1e-8)
-        assert report.crop_border >= disagree and not report.exact_mode
-        assert report.pass_
+        assert report.pass_ and report.crop_border == 0 and report.exact_mode
 
     def test_intermediate_padding_child_with_perturbed_weight_fails(self):
         parent, child = _depth_3x3_pair(114)
@@ -201,19 +173,18 @@ class TestCropBorder:
         i = child.conv_indices()[1]
         w = layers[i].weights.copy()
         w[0, 0, 1, 1] += 0.1
-        layers[i] = same_pad_conv(w, bias=layers[i].bias)
+        layers[i] = replace(layers[i], weights=w)
         report = check_preservation(parent, child.with_layers(layers), n_samples=5, tol=1e-8)
-        assert report.crop_border == 3 and not report.pass_
-
+        assert report.crop_border == 0 and not report.pass_
 
     @pytest.mark.parametrize(
-        "arch, stacked, morphed, border",
-        [("(3:8)(5:8)(3:4)", 0, 1, 2), ("(5:8)(3:8)(3:4)", 2, 0, 3)],
+        "arch, stacked, morphed",
+        [("(3:8)(5:8)(3:4)", 0, 1), ("(5:8)(3:8)(3:4)", 2, 0)],
         ids=["stack-in-head", "stack-in-tail"],
     )
-    def test_unchanged_stacked_layer_is_aligned(self, arch, stacked, morphed, border):
-        # A stacked (parallel) layer outside the morphed block is matched as
-        # unchanged, so it adds nothing to the crop border.
+    def test_unchanged_stacked_layer_is_aligned(self, arch, stacked, morphed):
+        # An unchanged stacked (parallel) layer compares equal: in front of
+        # the morphed conv it is part of the shared head, behind it of both tails.
         plain = build_network(parse_arch(arch), (3, 12, 12), seed=5)
         i, j = plain.conv_indices()[stacked], plain.conv_indices()[morphed]
         c = plain.layers[i].c_out
@@ -223,9 +194,10 @@ class TestCropBorder:
         def depth(net):
             return insert_depth(net, DepthMorphRequest(j, c_l=24, k1=3, k2=3, seed=2))
 
-        report = check_preservation(parent, depth(parent), n_samples=10, tol=1e-8)
-        assert report.pass_ and report.crop_border == border
-        assert check_preservation(plain, depth(plain), n_samples=10, tol=1e-8).crop_border == border
+        assert _align(parent, depth(parent)) == j
+        for net in (parent, plain):
+            report = check_preservation(net, depth(net), n_samples=10, tol=1e-8)
+            assert report.pass_ and report.crop_border == 0
 
 
 def _chain_step(net, op, ordinal, seed):
@@ -250,18 +222,6 @@ def _chain_step(net, op, ordinal, seed):
         return None
 
 
-def _disagreement_border(parent, child, n_samples, tol, seed=0):
-    """The narrowest crop outside which parent and child agree within
-    ``tol`` on check_preservation's samples."""
-    rng = make_rng(seed)
-    dev = 0.0
-    for _ in range(n_samples):
-        x = rng.standard_normal(parent.input_shape)
-        dev = np.maximum(dev, np.abs(forward(parent, x) - forward(child, x)).max(axis=0))
-    h = dev.shape[0]
-    return min(b for b in range(h // 2) if dev[b : h - b, b : h - b].max() <= tol)
-
-
 @st.composite
 def morph_chains(draw):
     """A 2-3 conv net's notation and base, and up to three morphs of it."""
@@ -274,8 +234,8 @@ def morph_chains(draw):
 
 
 class TestCropBorderAcrossChains:
-    """A chain of morphs, each saved and loaded, verifies between any
-    ancestor and descendant, not only between neighbours."""
+    """A chain of morphs, each saved and loaded, verifies on the whole output
+    between any ancestor and descendant, not only between neighbours."""
 
     @settings(max_examples=50, deadline=None)
     @given(morph_chains())
@@ -289,23 +249,18 @@ class TestCropBorderAcrossChains:
                 nets.append(deserialize(serialize(child)))
         for parent, child in itertools.combinations(nets, 2):
             report = check_preservation(parent, child, n_samples=3, tol=1e-8)
-            assert report.pass_, report.to_text()
-            assert report.crop_border >= _disagreement_border(parent, child, 3, 1e-8)
+            assert report.pass_ and report.crop_border == 0, report.to_text()
 
 
 def _reference_report(parent, child, n_samples, tol, seed=0):
     """check_preservation's report from two full forward passes per sample,
-    with the same draws and the same crop."""
-    border = crop_border_for(parent, child)
+    with the same draws, on the whole output."""
     rng = make_rng(seed)
     dev = 0.0
     for _ in range(n_samples):
         x = rng.standard_normal(parent.input_shape)
-        pa, ch = forward(parent, x), forward(child, x)
-        if border > 0 and pa.shape[1] > 1 and pa.shape[2] > 1:
-            pa, ch = pa[:, border:-border, border:-border], ch[:, border:-border, border:-border]
-        dev = float(np.maximum(dev, np.abs(pa - ch).max()))
-    return PreservationReport(n_samples, dev, border, border == 0, dev <= tol, tol)
+        dev = float(np.maximum(dev, np.abs(forward(parent, x) - forward(child, x)).max()))
+    return PreservationReport(n_samples, dev, 0, True, dev <= tol, tol)
 
 
 def _sigmoid_net(seed=0):
@@ -317,7 +272,7 @@ def _perturbed(net, i):
     layers = list(net.layers)
     w = layers[i].weights.copy()
     w[0, 0, 0, 0] += 0.1
-    layers[i] = same_pad_conv(w, bias=layers[i].bias)
+    layers[i] = replace(layers[i], weights=w)
     return net.with_layers(layers)
 
 
