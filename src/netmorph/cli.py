@@ -261,7 +261,7 @@ def main(argv=None):
         if getattr(args, "seed", 0) < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ArchParseError, FormatError, UsageError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ArchParseError, FormatError, UsageError, OSError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InfeasibleMorphError, ShapeError) as exc:

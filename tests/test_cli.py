@@ -507,6 +507,26 @@ def test_negative_seed_exits_2(argv, parent_file, idx_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parse", "--arch", "(3:4)", "--input-shape", "2,10,10", "-o", "{bad}"),
+        ("inspect", "-i", "{bad}"),
+        ("verify", "-a", "{bad}", "-b", "{parent}"),
+    ],
+    ids=["parse-output", "inspect-input", "verify-net-a"],
+)
+def test_path_under_a_regular_file_exits_2(argv, parent_file, tmp_path, capsys):
+    # NotADirectoryError is an I/O error like a missing file; for verify,
+    # exit 1 would read as "not preserved"
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    argv = [a.format(bad=plain / "x.nmph", parent=parent_file) for a in argv]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert stdout == "" and stderr.startswith("error=")
+
+
 def test_loaded_child_is_usable(parent_file, tmp_path, capsys):
     child = tmp_path / "child.nmph"
     run(

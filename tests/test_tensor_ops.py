@@ -1,5 +1,7 @@
 """Numerical-kernel tests against brute-force reference implementations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,9 +16,25 @@ from netmorph import (
     make_rng,
     pad_filter,
 )
-from netmorph.tensor_ops import GRAM_TAU, _cholesky, _cholesky_solve, _columns, _tall_gram, _well_conditioned
+from netmorph import tensor_ops
+from netmorph.tensor_ops import (
+    GRAM_TAU,
+    _cholesky,
+    _cholesky_solve,
+    _columns,
+    _tall_gram,
+    _well_conditioned,
+    conv_batch,
+    conv_input_grad,
+)
 
 from conftest import naive_compose, naive_conv
+
+
+def _route_channels(narrows, c_out, extra):
+    """(c_out, c_in) on the folding side of 2*c_out <= c_in, or on the
+    columns side."""
+    return (c_out, 2 * c_out + extra) if narrows else (c_out, max(1, 2 * c_out - 1 - extra))
 
 
 class TestConvMC:
@@ -55,15 +73,29 @@ class TestConvMC:
             np.testing.assert_allclose(conv_mc(x, f, pad), naive_conv(x, f, pad), atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 3, 5]), st.integers(0, 5), st.integers(0, 2**16))
-    def test_any_pad_and_size_matches_naive(self, h, w, k, pad, seed):
-        # windows clipped on both sides: pads beyond k-1 and images smaller than the kernel
-        if min(h, w) + 2 * pad < k:
-            return
+    @given(
+        st.booleans(),
+        st.integers(1, 3),
+        st.integers(0, 2),
+        st.sampled_from([1, 3, 5]),
+        st.data(),
+        st.integers(2, 3),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(0, 2**16),
+    )
+    def test_any_pad_and_size_matches_naive(self, narrows, c_out, extra, k, data, n, h, w, seed):
+        # windows clipped on both sides: pads beyond k-1 and images smaller
+        # than the kernel, on both routes of conv_batch
+        pad = data.draw(st.integers(0, k + 1))
+        assume(min(h, w) + 2 * pad >= k)
+        c_out, c_in = _route_channels(narrows, c_out, extra)
         rng = make_rng(seed)
-        x = rng.standard_normal((2, h, w))
-        f = rng.standard_normal((3, 2, k, k))
-        np.testing.assert_allclose(conv_mc(x, f, pad), naive_conv(x, f, pad), atol=1e-12)
+        x = rng.standard_normal((n, c_in, h, w))
+        f = rng.standard_normal((c_out, c_in, k, k))
+        got = conv_batch(x, f, pad)
+        for i in range(n):
+            np.testing.assert_allclose(got[i], naive_conv(x[i], f, pad), atol=1e-12)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -76,6 +108,89 @@ class TestConvMC:
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
             conv_mc(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)), pad=0)
+
+
+class TestConvRoutes:
+    """``conv_batch`` folds a conv that at least halves the channels
+    (2*c_out <= c_in, k > 1) and builds columns for every other conv."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.booleans(),
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.sampled_from([1, 3, 5]),
+        st.data(),
+        st.integers(1, 7),
+        st.integers(0, 2**16),
+    )
+    def test_input_grad_is_the_adjoint(self, narrows, c_out, extra, k, data, side, seed):
+        # <conv(x), dy> = <x, conv_input_grad(dy)>: the input gradient of a
+        # narrowing conv builds columns and that of a widening one folds
+        pad = data.draw(st.integers(0, k + 1))
+        assume(side + 2 * pad >= k)
+        c_out, c_in = _route_channels(narrows, c_out, extra)
+        rng = make_rng(seed)
+        x = rng.standard_normal((2, c_in, side, side + 1))
+        f = rng.standard_normal((c_out, c_in, k, k))
+        y = conv_batch(x, f, pad)
+        dy = rng.standard_normal(y.shape)
+        dx = conv_input_grad(dy, f, pad)
+        assert dx.shape == x.shape
+        assert np.vdot(y, dy) == pytest.approx(np.vdot(x, dx), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("c_out, c_in", [(1, 2), (2, 1)], ids=["fold", "columns"])
+    def test_offsets_that_reach_no_input_are_skipped(self, c_out, c_in):
+        # a 9x9 kernel at pad 4 on a 3x3 blob: at kernel rows 0, 1, 7 and 8
+        # every output row reads zero padding
+        rng = make_rng(9)
+        x = rng.standard_normal((2, c_in, 3, 3))
+        f = rng.standard_normal((c_out, c_in, 9, 9))
+        got = conv_batch(x, f, 4)
+        for i in range(2):
+            np.testing.assert_allclose(got[i], naive_conv(x[i], f, 4), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape, folds",
+        [((4, 32, 3, 3), True), ((32, 96, 3, 3), True), ((32, 48, 5, 5), False), ((128, 32, 5, 5), False)],
+    )
+    def test_route_choice(self, shape, folds, monkeypatch):
+        # the subnet paths' 32->4 and the depth block's 96->32 fold; the
+        # paper's 48->32 5x5 and 32->128 5x5 convs build columns
+        calls = []
+        columns = tensor_ops._columns
+
+        def recording_columns(x, k, pad):
+            calls.append(x.shape)
+            return columns(x, k, pad)
+
+        monkeypatch.setattr(tensor_ops, "_columns", recording_columns)
+        rng = make_rng(10)
+        k = shape[2]
+        x = rng.standard_normal((1, shape[1], 12, 12))
+        f = rng.standard_normal(shape)
+        conv_batch(x, f, k // 2)
+        assert (calls == []) == folds
+
+    def test_fold_peak_memory_below_columns(self):
+        # morph-chain's (3:96)->(3:32) conv on a 96x34x34 blob: the fold's
+        # product holds 32*9 planes (2.7 MB), the columns 96*9 (8.0 MB)
+        rng = make_rng(11)
+        x = rng.standard_normal((1, 96, 34, 34))
+        f = rng.standard_normal((32, 96, 3, 3))
+
+        def traced_peak(run):
+            run()  # warm-up: allocator pools
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fold_peak = traced_peak(lambda: conv_batch(x, f, 1))
+        columns_peak = traced_peak(lambda: f.reshape(32, -1) @ _columns(x, 3, 1))
+        assert fold_peak < columns_peak, f"{fold_peak / 2**20:.2f} vs {columns_peak / 2**20:.2f} MiB"
 
 
 class TestComposeFilters:

@@ -312,6 +312,27 @@ class TestGradients:
         assert _check_against_central_differences(_TrainState(net), x, y) == ["w", "b", "a", "w", "b", "a", "w", "b"]
 
 
+    @pytest.mark.parametrize("c_mid, c_test", [(6, 2), (2, 6)], ids=["narrowing", "widening"])
+    def test_both_conv_routes_match_finite_differences(self, c_mid, c_test):
+        # The middle 3x3 conv maps c_mid to c_test channels.  Narrowing, its
+        # forward folds and its input gradient (the adjoint conv, widening)
+        # builds columns; widening, the other way round.
+        rng = make_rng(20)
+        net = NetworkDef(
+            input_shape=(2, 4, 4),
+            layers=[
+                _random_conv(rng, c_mid, 2, 3),
+                PActLayer(base="tanh", a=0.4),
+                _random_conv(rng, c_test, c_mid, 3),
+                PActLayer(base="sigmoid", a=0.6),
+                _random_conv(rng, 2, c_test, 1),
+            ],
+        )
+        x = rng.standard_normal((5, 2, 4, 4))
+        y = rng.integers(0, 2 * 4 * 4, size=5)
+        assert _check_against_central_differences(_TrainState(net), x, y) == ["w", "b", "a", "w", "b", "a", "w", "b"]
+
+
 def _check_against_central_differences(state, x, y, eps=1e-6):
     """Check every parameter gradient of ``state`` on the minibatch (x, y)
     against a central difference of the loss; return the keys checked."""
