@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package, and the integer check
+that raises one of them."""
+
+import operator
 
 
 class NetMorphError(Exception):
@@ -25,3 +28,12 @@ class ArchParseError(NetMorphError):
             message = f"{message} (at column {position + 1})"
         super().__init__(message)
         self.position = position
+
+
+def _index(value, name: str) -> int:
+    """``value`` as an int by ``operator.index``, else a ``ShapeError``
+    naming ``name``: a float such as 3.0, or a string, is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ShapeError(f"{name} must be an integer, got {value!r}") from None

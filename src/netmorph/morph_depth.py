@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InfeasibleMorphError, ShapeError
+from .errors import InfeasibleMorphError, ShapeError, _index
 from .netdef import ConvLayer, NetworkDef, PActLayer
 from .rng import make_rng
 from .tensor_ops import as_filter, lstsq_factor_step, pad_filter
@@ -42,6 +42,8 @@ class DepthMorphRequest:
     tol: float = DEFAULT_TOL  # relative Frobenius residual treated as "loss = 0"
 
     def __post_init__(self):
+        for name in ("layer_index", "c_l", "k1", "k2", "max_iter", "seed"):
+            _index(getattr(self, name), name)
         if self.c_l < 1:
             raise ShapeError(f"new hidden width must be >= 1, got {self.c_l}")
         if self.k1 < 1 or self.k1 % 2 == 0 or self.k2 < 1 or self.k2 % 2 == 0:
@@ -175,7 +177,7 @@ def morph_practical(g, req: DepthMorphRequest) -> MorphOutcome:
 
 def _conv_at(layers, index) -> ConvLayer:
     """``layers[index]`` if that is a conv layer, else a ShapeError."""
-    layer = layers[index] if 0 <= index < len(layers) else None
+    layer = layers[index] if 0 <= _index(index, "layer_index") < len(layers) else None
     if not isinstance(layer, ConvLayer):
         raise ShapeError(f"layer {index} is not a conv layer")
     return layer

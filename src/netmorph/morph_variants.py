@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleMorphError, ShapeError
+from .errors import InfeasibleMorphError, ShapeError, _index
 from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _check_parity, _check_tol, _conv_at, factor_chain, morph_practical
 from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer, pact_eval
 from .rng import make_rng
@@ -22,6 +22,10 @@ class WidthMorphRequest:
     layer_index: int
     new_width: int
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("layer_index", "new_width", "seed"):
+            _index(getattr(self, name), name)
 
 
 def _check_split_weights(weights):
@@ -42,7 +46,10 @@ class SubnetMorphRequest:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "path_specs", tuple(tuple((int(k), int(c)) for k, c in p) for p in self.path_specs))
+        for name in ("layer_index", "seed"):
+            _index(getattr(self, name), name)
+        specs = tuple(tuple((_index(k, "path kernel"), _index(c, "path channels")) for k, c in p) for p in self.path_specs)
+        object.__setattr__(self, "path_specs", specs)
         object.__setattr__(self, "split_weights", tuple(float(w) for w in self.split_weights))
         if len(self.path_specs) != len(self.split_weights):
             raise ShapeError("one split weight per path is required")
@@ -122,7 +129,7 @@ def expand_kernel(net: NetworkDef, layer_index: int, new_kernel: int) -> Network
     including image borders."""
     layers = list(net.layers)
     target = _conv_at(layers, layer_index)
-    if new_kernel % 2 == 0:
+    if _index(new_kernel, "new_kernel") % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {new_kernel}")
     w = pad_filter(target.weights, new_kernel)
     layers[layer_index : layer_index + 1] = factor_chain(layers, layer_index, [w], target.bias)
@@ -148,8 +155,8 @@ def morph_sequential(g, widths, kernels, seed: int = 0, tol: float = DEFAULT_TOL
     so a one-kernel chain is ``g`` grown to that kernel.
     """
     g = as_filter(g)
-    kernels = [int(v) for v in kernels]
-    widths = [int(v) for v in widths]
+    kernels = [_index(v, "kernel") for v in kernels]
+    widths = [_index(v, "width") for v in widths]
     n = len(kernels)
     if n < 1:
         raise ShapeError("a sequential morph needs at least one layer")

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, _index
 from .tensor_ops import as_blob, as_filter, conv_batch, conv_filter_grad, conv_input_grad
 
 BASES = ("relu", "tanh", "sigmoid")
@@ -77,19 +77,6 @@ def _phi(base: str, x):
     raise ValueError(f"unknown activation base {base!r}")
 
 
-def _phi_prime(base: str, x):
-    if base == "relu":
-        # subgradient 0 at the kink
-        return (np.asarray(x) > 0).astype(np.float64)
-    if base == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
-    if base == "sigmoid":
-        s = _sigmoid(x)
-        return s * (1.0 - s)
-    raise ValueError(f"unknown activation base {base!r}")
-
-
 def _check_a(a: float):
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"activation parameter a={a} outside [0, 1]")
@@ -116,12 +103,18 @@ def pact_eval(base: str, a: float, x):
 
 
 def pact_grad(base: str, a: float, x):
-    """Partial derivatives (d/dx, d/da) of pact_eval at (a, x)."""
+    """Partial derivatives (d/dx, d/da) of pact_eval at (a, x), phi' taken from
+    the one phi: 1[x > 0] (subgradient 0 at the kink), 1 - phi^2, phi*(1 - phi)."""
     _check_a(a)
     x = np.asarray(x, dtype=np.float64)
-    d_dx = (1.0 - a) * _phi_prime(base, x) + a
-    d_da = x - _phi(base, x)
-    return d_dx, d_da
+    phi = _phi(base, x)
+    if base == "relu":
+        d_phi = (x > 0).astype(np.float64)
+    elif base == "tanh":
+        d_phi = 1.0 - phi * phi
+    else:
+        d_phi = phi * (1.0 - phi)
+    return (1.0 - a) * d_phi + a, x - phi
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +344,7 @@ class NetworkDef:
     layers: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        shape = tuple(int(v) for v in self.input_shape)
+        shape = tuple(_index(v, "each input_shape entry") for v in self.input_shape)
         if len(shape) != 3 or any(v < 1 for v in shape):
             raise ShapeError(f"input shape must be (c, h, w) positive, got {self.input_shape}")
         layers = tuple(self.layers)

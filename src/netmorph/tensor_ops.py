@@ -21,23 +21,16 @@ filter's rows with the raw input and folds the c_out-channel product into
 the output by k*k shifted adds (``_fold``); every other conv multiplies
 the filter with the channel-major columns of the input (``_columns``,
 c_in*k*k rows).  Both read the window bounds from one helper
-(``_windows``).  Filter composition is that kernel applied to the lower
-factor's input channels as a batch, and the input gradient is that kernel
-applied with the adjoint filter, so both take the same two routes.
+(``_windows``), and a negative pad there crops the input.  Filter
+composition is that kernel applied to the lower factor's input channels
+as a batch, and the input gradient is that kernel applied with the
+adjoint filter at pad k-1-pad, which crops when pad > k-1.
 
-The least-squares factor solve uses the columns, transposed, as its
-system matrix; the lower factor is solved as the upper factor of the
-adjoint (channel-transposed, spatially flipped) problem.  When the fixed
-factor of that solve is 1x1, its system is the fixed channel matrix
-repeated once per target kernel position, so the system solved is that
-small channel matrix instead of the dense columns.
-Either system, channel matrix or columns, is solved the same way: through
-its smaller Gram matrix G when G - GRAM_TAU * mu * I has a Cholesky
-factor, mu <= lambda_max being a power-iteration estimate, and by the
-SVD-backed ``np.linalg.lstsq`` on the system otherwise.  G is then solved
-by its own blocked Cholesky factor.  A tall system of columns for a free
-kernel larger than 1x1 takes G from the fixed factor's channel
-autocorrelation rather than from the product of its columns.
+The least-squares factor solve (``lstsq_factor_step``) takes the columns,
+transposed, as its system matrix, or the fixed channel matrix when the
+fixed factor is 1x1.  Either is solved through its smaller Gram matrix by
+a blocked Cholesky factor when that matrix is well conditioned, and by
+the SVD-backed ``np.linalg.lstsq`` otherwise.
 """
 
 import functools
@@ -120,7 +113,8 @@ def _windows(h: int, w: int, k: int, pad: int) -> tuple:
     output rows and columns ``out`` read the input rows and columns ``inp``
     (each a pair of slices), output row y reading input row y + u - pad.
     The rest of the output reads zero padding there, and offsets that reach
-    no input are left out.  Cached per shape: computing the slices took
+    no input are left out.  A negative pad crops -pad rows and columns off
+    every side of the input.  Cached per shape: computing the slices took
     0.6 us per offset, a fifth of the column build of a 3x32x32 blob.
     """
     oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
@@ -173,7 +167,8 @@ def _fold(x, f, pad: int) -> np.ndarray:
 
 
 def conv_batch(x, f, pad: int) -> np.ndarray:
-    """``conv_mc`` over a batch x of shape (n, c, h, w), without input checks.
+    """``conv_mc`` over a batch x of shape (n, c, h, w), without input checks;
+    a negative pad crops x (``_windows``).
 
     Two routes, each expanding the smaller side by the k*k kernel offsets.
     A conv that at least halves the channels (2*c_out <= c_in, k > 1) is
@@ -208,14 +203,10 @@ def conv_filter_grad(x, dy, k: int, pad: int) -> np.ndarray:
 
 
 def conv_input_grad(dy, f, pad: int) -> np.ndarray:
-    """Gradient dx of sum(dy * conv_batch(x, f, pad)): the adjoint
-    convolution, ``conv_batch`` of dy with the adjoint filter, padded by
-    k-1-pad.  For pad > k-1 that padding is negative, and dy is cropped by
-    pad-(k-1) on every side instead: those outputs read only zero padding."""
-    q = f.shape[2] - 1 - pad
-    if q < 0:
-        dy = dy[:, :, -q:q, -q:q]
-    return conv_batch(dy, _adjoint(f), max(q, 0))
+    """Gradient dx of sum(dy * conv_batch(x, f, pad)): ``conv_batch`` of dy
+    with the adjoint filter at pad k-1-pad, which for pad > k-1 crops off
+    the outputs of dy that read only zero padding."""
+    return conv_batch(dy, _adjoint(f), f.shape[2] - 1 - pad)
 
 
 def compose_filters(f_lo, f_hi) -> np.ndarray:
@@ -367,19 +358,16 @@ def _tall_gram(batch, k2: int) -> np.ndarray:
     summed over it.  R is the filter gradient of the batch against itself,
     a product with c*(2*d+1)^2 columns instead of the c*k2*k2 columns' own
     product with each other; it is zero beyond the lags d = min(k1, k2) - 1
-    that a k1 x k1 blob has.
+    that a k1 x k1 blob has, so it is zero-padded to lags +-(k2 - 1).  Row
+    (c, u, v) is then the k2 x k2 window of R at offset (k2-1-u, k2-1-v).
     """
     c, k1 = batch.shape[1], batch.shape[2]
     d = min(k1, k2) - 1
     r = conv_filter_grad(batch, batch, 2 * d + 1, d)
     if d < k2 - 1:
         r = np.pad(r, ((0, 0), (0, 0), (k2 - 1 - d,) * 2, (k2 - 1 - d,) * 2))
-    gram = np.empty((c, k2, k2, c, k2, k2))
-    for u in range(k2):
-        # lags u' - u for u' = 0..k2-1 sit at r's offsets k2-1-u .. 2*k2-2-u
-        for v in range(k2):
-            gram[:, u, v] = r[:, :, k2 - 1 - u : 2 * k2 - 1 - u, k2 - 1 - v : 2 * k2 - 1 - v]
-    return gram.reshape(c * k2 * k2, -1)
+    windows = np.lib.stride_tricks.sliding_window_view(r, (k2, k2), axis=(2, 3))[:, :, ::-1, ::-1]
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(c * k2 * k2, -1)
 
 
 # Column-block width of ``_cholesky``.  On a 2-vCPU Xeon with OpenBLAS,

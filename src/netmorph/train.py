@@ -12,14 +12,13 @@ separate dense-layer code path.
 import copy
 import gzip
 import math
-import operator
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, _index
 from .netdef import NetworkDef, backward_pass, forward_batch, forward_pass
 from .rng import make_rng
 
@@ -58,11 +57,7 @@ class TrainConfig:
         if not math.isfinite(self.momentum):
             raise ShapeError(f"momentum must be a finite number, got {self.momentum}")
         for name in ("batch_size", "epochs", "seed"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ShapeError(f"{name} must be an integer, got {value!r}") from None
+            _index(getattr(self, name), name)
         if self.batch_size < 1:
             raise ShapeError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -179,9 +174,11 @@ def _shaped_images(net: NetworkDef, images):
 
 
 def _checked_labels(net: NetworkDef, dataset: Dataset) -> np.ndarray:
-    """The dataset's labels, each of which must name one of the net's
-    c*h*w outputs."""
+    """The dataset's labels, an integer array each of whose entries must
+    name one of the net's c*h*w outputs."""
     labels = np.asarray(dataset.labels)
+    if labels.dtype.kind not in "iu":
+        raise ShapeError(f"labels must be integers, got dtype {labels.dtype}")
     classes = math.prod(net._output_shape)
     if labels.size and not (labels.min() >= 0 and labels.max() < classes):
         raise ShapeError(f"labels span {labels.min()}..{labels.max()}, but the network has {classes} outputs")

@@ -9,12 +9,11 @@ output feeds the rest of each net.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, _index
 from .netdef import NetworkDef, forward_pass
 from .rng import make_rng
 
@@ -60,11 +59,7 @@ def check_preservation(parent: NetworkDef, child: NetworkDef, n_samples: int, to
     """
     if parent.input_shape != child.input_shape:
         raise ShapeError(f"input shapes differ: {parent.input_shape} vs {child.input_shape}")
-    try:
-        operator.index(n_samples)
-    except TypeError:
-        raise ShapeError(f"n_samples must be an integer, got {n_samples!r}") from None
-    if n_samples < 1:
+    if _index(n_samples, "n_samples") < 1:
         raise ShapeError("n_samples must be >= 1")
     if not 0 <= tol < math.inf:  # also rejects NaN
         raise ShapeError(f"tol must be a finite number >= 0, got {tol}")

@@ -20,7 +20,7 @@ from netmorph import (
 )
 from netmorph.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
-from test_serialize import INVALID_LAYERS, _sample_net, rewrite_manifest
+from test_serialize import DAMAGED_FILES, INVALID_LAYERS, _sample_net, rewrite_manifest
 from test_train import GZIP_DAMAGE, OVERSIZED_IMAGES, damage_gzip, write_idx_pair
 from test_verify import nan_output_pair
 
@@ -57,6 +57,14 @@ class TestParseInspect:
         code, _, stderr = run(capsys, "parse", "--arch", "(3:4)", "--input-shape", "3,0,8", "-o", str(tmp_path / "x.nmph"))
         assert code == EXIT_USAGE
         assert "error=input shape" in stderr
+
+    def test_two_part_input_shape_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.nmph"
+        with pytest.raises(SystemExit) as exc:
+            main(["parse", "--arch", "(3:4)", "--input-shape", "3,32", "-o", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "expected c,h,w, got '3,32'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_inspect_round_trip(self, tmp_path, capsys):
         out = tmp_path / "net.nmph"
@@ -108,6 +116,14 @@ class TestParseInspect:
         code, _, stderr = run(capsys, "inspect", "-i", str(path))
         assert code == EXIT_USAGE
         assert "malformed manifest" in stderr
+
+    @pytest.mark.parametrize("damage, message", DAMAGED_FILES.values(), ids=DAMAGED_FILES.keys())
+    def test_inspect_damaged_file_exits_2(self, damage, message, tmp_path, capsys):
+        path = tmp_path / "bad.nmph"
+        path.write_bytes(damage(serialize(_sample_net())))
+        code, stdout, stderr = run(capsys, "inspect", "-i", str(path))
+        assert code == EXIT_USAGE
+        assert stdout == "" and stderr.startswith("error=") and message in stderr
 
 
 class TestMorphVerify:
@@ -235,6 +251,49 @@ class TestMorphVerify:
         )
         assert code == EXIT_INFEASIBLE
         assert "error=" in stderr
+
+    def test_exhausted_kernel_shrinking_exits_3(self, tmp_path, capsys):
+        # both 3x3 attempts on a 5x5 single-channel conv miss, and the 1x1
+        # candidates are skipped as too small for it
+        parent, out = tmp_path / "p.nmph", tmp_path / "x.nmph"
+        run(capsys, "parse", "--arch", "(5:1)", "--input-shape", "1,8,8", "-o", str(parent))
+        code, stdout, stderr = run(
+            capsys, "morph", "-i", str(parent), "-o", str(out),
+            "--op", "depth", "--layer", "0", "--cl", "3", "--k1", "3", "--k2", "3",
+        )
+        assert code == EXIT_INFEASIBLE
+        assert stdout == "" and stderr.startswith("error=kernel shrinking exhausted")
+        assert not out.exists()
+
+    def test_width_morph_of_an_all_zero_net_adds_noise(self, tmp_path, capsys):
+        # zero spread in the parent's filters: the new channels' noise falls
+        # back to 1/sqrt(fan-in), so they are not all zero
+        parent, child = tmp_path / "p.nmph", tmp_path / "c.nmph"
+        run(capsys, "parse", "--arch", "(3:4)(3:4)", "--init", "zeros", "-o", str(parent))
+        code, *_ = run(capsys, "morph", "-i", str(parent), "-o", str(child), "--op", "width", "--layer", "0", "--width", "6")
+        assert code == EXIT_OK
+        code, stdout, _ = run(capsys, "verify", "-a", str(parent), "-b", str(child))
+        assert code == EXIT_OK and "pass=true" in stdout
+        before, after = load(parent), load(child)
+        assert not (before.layers[0].weights.any() or before.layers[2].weights.any())
+        w_lo, w_hi = after.layers[0].weights, after.layers[2].weights
+        per_channel = np.abs(w_lo).sum(axis=(1, 2, 3)) + np.abs(w_hi).sum(axis=(0, 2, 3))
+        assert np.count_nonzero(per_channel) == 2  # the two new channels
+
+    def test_width_morph_across_a_stack_exits_3(self, tmp_path, capsys):
+        parent, stacked, out = tmp_path / "p.nmph", tmp_path / "s.nmph", tmp_path / "x.nmph"
+        run(capsys, "parse", "--arch", "(3:8)(3:8)", "--input-shape", "3,12,12", "-o", str(parent))
+        code, *_ = run(
+            capsys, "morph", "-i", str(parent), "-o", str(stacked),
+            "--op", "subnet", "--layer", "1", "--paths", "(3:8)(3:8)@0.5,(3:8)@0.5",
+        )
+        assert code == EXIT_OK
+        code, stdout, stderr = run(
+            capsys, "morph", "-i", str(stacked), "-o", str(out), "--op", "width", "--layer", "0", "--width", "12"
+        )
+        assert code == EXIT_INFEASIBLE
+        assert stdout == "" and stderr == "error=widening across non-activation layers is not supported\n"
+        assert not out.exists()
 
     def test_unconverged_general_depth_morph_exits_3(self, tmp_path, capsys):
         parent, out = tmp_path / "p.nmph", tmp_path / "x.nmph"

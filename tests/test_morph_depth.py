@@ -28,7 +28,7 @@ from netmorph import (
     rebalance,
     same_pad_conv,
 )
-from netmorph import tensor_ops
+from netmorph import morph_depth, tensor_ops
 
 from test_verify import _net as verify_net
 
@@ -173,6 +173,23 @@ class TestMorphPractical:
         g = rng.standard_normal((4, 3, 3, 3))  # 108 parameters
         with pytest.raises(InfeasibleMorphError):
             morph_practical(g, DepthMorphRequest(layer_index=0, c_l=1, k1=3, k2=1, seed=0))
+
+    def test_exhausted_candidates_raise(self, monkeypatch):
+        # both factors expand a (1,1,5,5) filter at c_l=3 (27 >= 25 parameters),
+        # but one 3x3/3x3 step misses it on either side, and the two 1x1
+        # candidates are skipped: 3x3 composed with 1x1 cannot reach 5x5
+        attempts = []
+        alternate = morph_depth._alternate
+
+        def recording(g, req, k1, k2, *rest):
+            attempts.append((k1, k2))
+            return alternate(g, req, k1, k2, *rest)
+
+        monkeypatch.setattr(morph_depth, "_alternate", recording)
+        g = make_rng(38).standard_normal((1, 1, 5, 5))
+        with pytest.raises(InfeasibleMorphError, match="kernel shrinking exhausted"):
+            morph_practical(g, DepthMorphRequest(layer_index=0, c_l=3, k1=3, k2=3, seed=0))
+        assert attempts == [(3, 3), (3, 3)]
 
     def test_deterministic_by_seed(self):
         rng = make_rng(37)

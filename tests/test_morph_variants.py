@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netmorph import (
+    Dataset,
     DepthMorphRequest,
     InfeasibleMorphError,
     NetworkDef,
@@ -11,6 +12,7 @@ from netmorph import (
     ParallelLayer,
     ShapeError,
     SubnetMorphRequest,
+    TrainConfig,
     WidthMorphRequest,
     build_network,
     check_preservation,
@@ -27,6 +29,7 @@ from netmorph import (
     parse_arch,
     same_pad_conv,
     serialize,
+    train_sgd,
     widen,
 )
 from netmorph.morph_depth import factor_chain
@@ -61,6 +64,51 @@ def test_morph_target_must_be_a_conv(morph, index):
     net = _two_conv_net(20)  # conv, pact, conv
     with pytest.raises(ShapeError, match=f"layer {index} is not a conv layer"):
         morph(net, index)
+
+
+def _four_channel_net():
+    return build_network(parse_arch("(3:4)(3:4)"), (2, 8, 8))
+
+
+# sizes that are not integers, each of which used to raise a bare TypeError
+# or IndexError, or be truncated or accepted as a float
+NON_INTEGER_SIZES = {
+    "depth-c_l": lambda: insert_depth(_four_channel_net(), DepthMorphRequest(0, 2.5, 3, 1)),
+    "depth-k1": lambda: DepthMorphRequest(0, 2, 3.0, 1),
+    "depth-layer_index": lambda: DepthMorphRequest(0.0, 2, 3, 1),
+    "depth-max_iter": lambda: DepthMorphRequest(0, 2, 3, 1, max_iter=2.0),
+    "width-float": lambda: widen(_four_channel_net(), WidthMorphRequest(0, 6.5)),
+    "width-string": lambda: widen(_four_channel_net(), WidthMorphRequest(0, "6")),
+    "width-seed": lambda: WidthMorphRequest(0, 6, seed=1.0),
+    "expand_kernel-kernel": lambda: expand_kernel(_four_channel_net(), 0, 5.0),
+    "expand_kernel-layer_index": lambda: expand_kernel(_four_channel_net(), 0.0, 5),
+    "subnet-path-kernel": lambda: SubnetMorphRequest(0, [[(3.7, 4)]], [1.0]),
+    "subnet-path-channels": lambda: SubnetMorphRequest(0, [[(3, 4.0)]], [1.0]),
+    "sequential-kernel": lambda: morph_sequential(np.ones((4, 2, 3, 3)), [], [3.7]),
+    "network-input_shape": lambda: NetworkDef(input_shape=(2.7, 8, 8)),
+    "build_network-input_shape": lambda: build_network(parse_arch("(3:4)"), (2, 8.0, 8)),
+    "train-float-labels": lambda: train_sgd(
+        build_network(parse_arch("(1:3)"), (4, 1, 1)),
+        Dataset(images=np.zeros((4, 4, 1, 1)), labels=np.array([0.0, 1.0, 2.0, 1.0])),
+        TrainConfig(epochs=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_SIZES.values(), ids=NON_INTEGER_SIZES.keys())
+def test_non_integer_sizes_rejected(call):
+    with pytest.raises(ShapeError, match="must be an integer|labels must be integers"):
+        call()
+
+
+def test_numpy_integer_sizes_accepted():
+    net, i64 = _four_channel_net(), np.int64
+    assert widen(net, WidthMorphRequest(i64(0), i64(6), seed=i64(1))).layers[0].c_out == 6
+    assert expand_kernel(net, i64(0), i64(5)).layers[0].kernel == 5
+    req = DepthMorphRequest(i64(0), i64(8), i64(3), i64(1), max_iter=i64(2), seed=i64(0))
+    assert check_preservation(net, insert_depth(net, req), n_samples=2, tol=1e-8).pass_
+    (spec,) = SubnetMorphRequest(i64(0), [[(i64(3), i64(4))]], [1.0]).path_specs
+    assert spec == ((3, 4),) and all(type(v) is int for v in spec[0])
 
 
 class TestWiden:

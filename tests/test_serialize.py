@@ -192,14 +192,23 @@ def test_truncated_tensor_payload_detected():
         deserialize(body)
 
 
+def _with_crc(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def rewrite_manifest(data, edit):
     """Weight-file bytes with ``edit`` applied to the manifest and a valid CRC-32."""
     (mlen,) = struct.unpack("<I", data[5:9])
     manifest = json.loads(data[9 : 9 + mlen])
     edit(manifest)
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = data[:5] + struct.pack("<I", len(mbytes)) + mbytes + data[9 + mlen : -4]
-    return body + struct.pack("<I", zlib.crc32(body))
+    return _with_crc(data[:5] + struct.pack("<I", len(mbytes)) + mbytes + data[9 + mlen : -4])
+
+
+def _replace_manifest_bytes(data, fill):
+    """Weight-file bytes whose manifest is ``fill`` repeated to its length, with a valid CRC-32."""
+    (mlen,) = struct.unpack("<I", data[5:9])
+    return _with_crc(data[:9] + fill * mlen + data[9 + mlen : -4])
 
 
 def _stack_first_conv_with_pads(m, pads):
@@ -228,6 +237,30 @@ def test_invalid_layers_with_valid_checksum_rejected(edit):
     data = rewrite_manifest(serialize(_sample_net()), edit)
     with pytest.raises(FormatError, match="malformed manifest"):
         deserialize(data)
+
+
+# Files with a valid CRC-32 that the reader rejects outside the manifest's
+# layer checks: (damage applied to a sample file, the error's message)
+DAMAGED_FILES = {
+    "tensor-offset-outside-payload": (
+        lambda d: rewrite_manifest(d, lambda m: m["layers"][0].update(weights=10**6)),
+        "outside the payload area",
+    ),
+    "tensor-shape-disagrees": (
+        lambda d: rewrite_manifest(d, lambda m: m["layers"][0].update(weights=m["layers"][0]["bias"])),
+        "disagrees with its manifest entry",
+    ),
+    "unknown-layer-kind": (lambda d: rewrite_manifest(d, lambda m: m["layers"][1].update(kind="pool")), "unknown layer kind"),
+    "manifest-past-the-end": (lambda d: _with_crc(d[:5] + struct.pack("<I", len(d)) + d[9:-4]), "truncated manifest"),
+    "manifest-not-utf8": (lambda d: _replace_manifest_bytes(d, b"\xff"), "unreadable manifest"),
+    "manifest-not-json": (lambda d: _replace_manifest_bytes(d, b"{"), "unreadable manifest"),
+}
+
+
+@pytest.mark.parametrize("damage, message", DAMAGED_FILES.values(), ids=DAMAGED_FILES.keys())
+def test_damaged_files_with_valid_checksum_rejected(damage, message):
+    with pytest.raises(FormatError, match=message):
+        deserialize(damage(serialize(_sample_net())))
 
 
 def test_non_same_pads_round_trip_byte_for_byte():

@@ -85,17 +85,19 @@ class TestConvMC:
         st.integers(0, 2**16),
     )
     def test_any_pad_and_size_matches_naive(self, narrows, c_out, extra, k, data, n, h, w, seed):
-        # windows clipped on both sides: pads beyond k-1 and images smaller
-        # than the kernel, on both routes of conv_batch
-        pad = data.draw(st.integers(0, k + 1))
+        # windows clipped on both sides: negative pads (a crop), pads beyond
+        # k-1 and images smaller than the kernel, on both routes of conv_batch
+        pad = data.draw(st.integers(-2, k + 1))
         assume(min(h, w) + 2 * pad >= k)
         c_out, c_in = _route_channels(narrows, c_out, extra)
         rng = make_rng(seed)
         x = rng.standard_normal((n, c_in, h, w))
         f = rng.standard_normal((c_out, c_in, k, k))
         got = conv_batch(x, f, pad)
+        crop = max(-pad, 0)
         for i in range(n):
-            np.testing.assert_allclose(got[i], naive_conv(x[i], f, pad), atol=1e-12)
+            cropped = x[i][:, crop : h - crop, crop : w - crop]
+            np.testing.assert_allclose(got[i], naive_conv(cropped, f, max(pad, 0)), atol=1e-12)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -108,6 +110,11 @@ class TestConvMC:
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
             conv_mc(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)), pad=0)
+
+    def test_negative_pad_rejected(self):
+        # a crop is conv_batch's own reading of a negative pad, not conv_mc's
+        with pytest.raises(ShapeError, match="pad must be non-negative"):
+            conv_mc(np.zeros((1, 6, 6)), np.zeros((1, 1, 3, 3)), pad=-1)
 
 
 class TestConvRoutes:

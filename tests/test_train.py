@@ -180,6 +180,12 @@ class TestIdxLoader:
         with pytest.raises(FormatError, match="magic"):
             load_mnist_idx(lp, ip)
 
+    def test_file_shorter_than_its_header_rejected(self, tmp_path):
+        ip, lp, *_ = write_idx_pair(tmp_path)
+        ip.write_bytes(ip.read_bytes()[:10])
+        with pytest.raises(FormatError, match="images header needs 16 bytes, got 10"):
+            load_mnist_idx(ip, lp)
+
     def test_truncated_pixels_rejected(self, tmp_path):
         ip, lp, *_ = write_idx_pair(tmp_path)
         data = ip.read_bytes()[:-5]
