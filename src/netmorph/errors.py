@@ -30,10 +30,15 @@ class ArchParseError(NetMorphError):
         self.position = position
 
 
-def _index(value, name: str) -> int:
+def _index(value, name: str, low=None) -> int:
     """``value`` as an int by ``operator.index``, else a ``ShapeError``
-    naming ``name``: a float such as 3.0, or a string, is not an integer."""
+    naming ``name``: a float such as 3.0, or a string, is not an integer.
+    With ``low``, an integer below it is an error too."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise ShapeError(f"{name} must be an integer, got {value!r}") from None
+        index = None
+    if index is None or (low is not None and index < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ShapeError(f"{name} must be an integer{bound}, got {value!r}")
+    return index

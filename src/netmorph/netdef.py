@@ -138,12 +138,12 @@ class ConvLayer:
             raise ShapeError("bias contains non-finite entries")
         if w.shape[2] % 2 == 0:
             raise ShapeError(f"kernel size must be odd, got {w.shape[2]}")
-        if not (isinstance(self.pad, int) and self.pad >= 0):
-            raise ShapeError(f"pad must be an integer >= 0, got {self.pad!r}")
+        pad = _index(self.pad, "pad", low=0)  # a Python int, which serialize writes to JSON
         w.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "pad", pad)
 
     def __eq__(self, other):
         if type(other) is not ConvLayer:
@@ -295,14 +295,25 @@ def same_pad_conv(weights, bias=None, fc=False) -> ConvLayer:
 # networks
 
 
-def _convs(layers):
-    """Every conv layer in ``layers``, those on stacked paths included."""
+# Deepest nesting of stacks a network may have.  A subnet morph stacks one
+# level, on a top-level conv.  Every walk over the layers recurses per
+# level, and Python's stack overflows a few hundred levels down (about 330
+# when a weight file is read).
+MAX_STACK_DEPTH = 32
+
+
+def _convs(layers, depth=0):
+    """Every conv layer in ``layers``, those on stacked paths included.
+    Stacks nested more than ``MAX_STACK_DEPTH`` deep raise a ShapeError;
+    ``NetworkDef`` walks its layers here first."""
     for layer in layers:
         if isinstance(layer, ConvLayer):
             yield layer
         elif isinstance(layer, ParallelLayer):
+            if depth == MAX_STACK_DEPTH:
+                raise ShapeError(f"stacks nested more than {MAX_STACK_DEPTH} deep")
             for path in layer.paths:
-                yield from _convs(path)
+                yield from _convs(path, depth + 1)
 
 
 def _chain_shape(layers, shape, limit):

@@ -91,6 +91,8 @@ def _read_tensor(payload, offset: int) -> np.ndarray:
 
 
 def _layer_from_manifest(entry, payload):
+    if type(entry) is not dict:
+        raise TypeError(f"layer entries must be objects, got {entry!r}")
     kind = entry.get("kind")
     if kind == "conv":
         c_out, c_in, k, pad = entry["c_out"], entry["c_in"], entry["kernel"], entry["pad"]
@@ -135,7 +137,7 @@ def deserialize(data: bytes) -> NetworkDef:
         raise FormatError("truncated manifest")
     try:
         manifest = json.loads(bytes(data[mstart:mend]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"unreadable manifest: {exc}") from exc
     payload = data[mend:-4]
     try:
@@ -144,7 +146,7 @@ def deserialize(data: bytes) -> NetworkDef:
         if type(shape) is not list or any(type(v) is not int for v in shape):
             raise TypeError(f"input_shape must be a list of integers, got {shape!r}")
         return NetworkDef(input_shape=tuple(shape), layers=layers)
-    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+    except (KeyError, TypeError, ValueError, ShapeError, RecursionError) as exc:
         raise FormatError(f"malformed manifest: {exc}") from exc
 
 

@@ -26,11 +26,12 @@ composition is that kernel applied to the lower factor's input channels
 as a batch, and the input gradient is that kernel applied with the
 adjoint filter at pad k-1-pad, which crops when pad > k-1.
 
-The least-squares factor solve (``lstsq_factor_step``) takes the columns,
-transposed, as its system matrix, or the fixed channel matrix when the
-fixed factor is 1x1.  Either is solved through its smaller Gram matrix by
-a blocked Cholesky factor when that matrix is well conditioned, and by
-the SVD-backed ``np.linalg.lstsq`` otherwise.
+The least-squares factor solve (``lstsq_factor_step``) has one rule: when
+either factor is 1x1 its system matrix is the fixed factor's channel
+matrix, and otherwise the fixed factor's columns, transposed.  Either is
+solved through its smaller Gram matrix by a blocked Cholesky factor when
+that matrix is well conditioned, and by the SVD-backed
+``np.linalg.lstsq`` otherwise.
 """
 
 import functools
@@ -257,16 +258,18 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     tensor is the minimizing f_lo; it is the upper solve of the adjoint
     problem.  Rank-deficient systems yield the minimum-norm solution.
 
-    The system matrix A (m x n) is, for a 1x1 fixed factor (after that
-    adjoint step), the (c_in x c_mid) channel matrix with all
-    c_out*kt*kt target positions as right-hand sides: the dense system is
-    that channel matrix repeated kt*kt times, so the solution, residual and
-    singular-value cutoff are the same.  For larger fixed kernels A is the
-    dense conv columns.  Both are solved by ``_gram_solve``, through the
-    smaller Gram matrix: the normal equations (A^T A) x = A^T b when
-    m >= n, else the minimum-norm x = A^T y with (A A^T) y = b.  For conv
-    columns with m >= n and a free kernel k2 > 1, A^T A is built from the
-    fixed factor's channel autocorrelation (``_tall_gram``).  That route is
+    After that step the fixed factor is f_lo (kf x kf), the free one k2 x k2,
+    and the system matrix A (m x n) follows one rule.  When min(kf, k2) = 1,
+    compose is f_hi's channel matrix times f_lo's at each kernel offset, so
+    A is f_lo's (c_in*kf*kf x c_mid) channel matrix, and the right-hand
+    sides are the target's output channels and, for kf = 1, its offsets.
+    Per output channel the dense system repeats A k2*k2 times on its
+    diagonal: the same solution, residual and numpy default cutoff.
+    Otherwise A is the dense conv columns, whose A^T A (m >= n) is built
+    from the fixed factor's channel autocorrelation (``_tall_gram``).  Both
+    are solved by ``_gram_solve``, through the smaller Gram matrix: the
+    normal equations (A^T A) x = A^T b when m >= n, else the minimum-norm
+    x = A^T y with (A A^T) y = b.  That route is
     taken only when the Gram matrix G has lambda_min > GRAM_TAU * mu for an
     estimate mu <= lambda_max with mu > 0 (``_well_conditioned``), and G is
     then solved through its blocked Cholesky factor; rank-deficient or
@@ -289,53 +292,45 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
         raise ValueError(f"solve_side must be 'lower' or 'upper', got {solve_side!r}")
     if fixed.shape[2] > kt:
         raise ShapeError(f"fixed kernel {fixed.shape[2]} exceeds target kernel {kt}")
-    c_mid = fixed.shape[0]
-    if fixed.shape[2] == 1:
-        # the dense system below would be a_t once per target position; its
-        # singular values are a_t's kt*kt times, hence the same cutoff
-        a_t = fixed[:, :, 0, 0].T
-        target = g_tilde.transpose(1, 0, 2, 3).reshape(a_t.shape[0], -1)
-        rcond = np.finfo(np.float64).eps * max(a_t.shape) * kt * kt
-        sol, residual = _gram_solve(lambda: a_t, target, rcond)
-        solved = sol.reshape(c_mid, -1, kt, kt).transpose(1, 0, 2, 3)
+    c_mid, kf = fixed.shape[0], fixed.shape[2]
+    k2 = kt - kf + 1
+    rows = g_tilde.shape[1] * (kt * kt if kf > 1 else 1)
+    target = g_tilde.reshape(g_tilde.shape[0], rows, -1).transpose(1, 0, 2).reshape(rows, -1)
+    if min(kf, k2) == 1:
+        a_t = fixed.reshape(c_mid, -1).T
+        rcond = np.finfo(np.float64).eps * max(a_t.shape) * k2 * k2
+        sol, residual = _gram_solve(lambda: a_t, target, rcond, lambda: a_t.T @ a_t)
+        solved = sol.reshape(c_mid, -1, k2, k2).transpose(1, 0, 2, 3)
     else:
         # compose(f_lo, f_hi) is the flipped f_hi times the columns of f_lo's
         # input channels (see compose_filters): those columns, transposed, are
         # the system matrix, and one solve serves every output channel
-        k2 = kt - fixed.shape[2] + 1
         batch = fixed.transpose(1, 0, 2, 3)
-        target = g_tilde.reshape(g_tilde.shape[0], -1).T
-        # with k2 = 1 there are no lags, and A^T A is the batch's channel
-        # product itself, which a.T @ a computes at half the flops
-        tall_gram = (lambda: _tall_gram(batch, k2)) if k2 > 1 else None
-        sol, residual = _gram_solve(lambda: _columns(batch, k2, k2 - 1).T, target, None, tall_gram)
+        sol, residual = _gram_solve(lambda: _columns(batch, k2, k2 - 1).T, target, None, lambda: _tall_gram(batch, k2))
         solved = sol.T.reshape(-1, c_mid, k2, k2)[:, :, ::-1, ::-1]
     if solve_side == "lower":
         solved = _adjoint(solved)
     return np.ascontiguousarray(solved), residual
 
 
-def _gram_solve(system, b, rcond, tall_gram=None):
+def _gram_solve(system, b, rcond, tall_gram):
     """Least-squares x minimizing ||A x - b|| for A = system(), and that
     residual: through the smaller Gram matrix when ``_well_conditioned``
     says so (see ``lstsq_factor_step``), else by lstsq on A with cutoff
-    ``rcond``.  A tall system's A^T A comes from ``tall_gram()`` when given.
-    The Gram matrix is factorized in place by ``_cholesky`` and solved by
-    two block substitutions; should that unshifted factorization fail
-    after the shifted one passed, lstsq solves.  A is built again after
-    the Gram matrix is factorized rather than kept (1-4 ms for conv
-    columns): held, the columns raised morph-chain's peak memory from
-    62.7 to 68 MiB.
+    ``rcond``.  A tall system's A^T A comes from ``tall_gram()``, a wide
+    one's A A^T from A.  The Gram matrix is factorized in place by
+    ``_cholesky`` and solved by two block substitutions; should that
+    unshifted factorization fail after the shifted one passed, lstsq
+    solves.  A is built again after the Gram matrix is factorized rather
+    than kept (1-4 ms for conv columns): held, the columns raised
+    morph-chain's peak memory from 62.7 to 68 MiB.
     """
     a = system()
     tall = a.shape[0] >= a.shape[1]
     rhs = a.T @ b if tall else b.copy()
-    if tall and tall_gram is not None:
-        del a
-        gram = tall_gram()
-    else:
-        gram = a.T @ a if tall else a @ a.T
-        del a
+    gram = None if tall else a @ a.T
+    del a
+    gram = tall_gram() if tall else gram
     inv_blocks = _cholesky(gram) if _well_conditioned(gram) else None
     x = None if inv_blocks is None else _cholesky_solve(gram, inv_blocks, rhs)
     del gram

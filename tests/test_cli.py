@@ -19,8 +19,9 @@ from netmorph import (
     serialize,
 )
 from netmorph.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from netmorph.netdef import MAX_STACK_DEPTH
 
-from test_serialize import DAMAGED_FILES, INVALID_LAYERS, _sample_net, rewrite_manifest
+from test_serialize import CRAFTED_MANIFESTS, DAMAGED_FILES, INVALID_LAYERS, _sample_net, nest_first_layer, rewrite_manifest
 from test_train import GZIP_DAMAGE, OVERSIZED_IMAGES, damage_gzip, write_idx_pair
 from test_verify import nan_output_pair
 
@@ -124,6 +125,25 @@ class TestParseInspect:
         code, stdout, stderr = run(capsys, "inspect", "-i", str(path))
         assert code == EXIT_USAGE
         assert stdout == "" and stderr.startswith("error=") and message in stderr
+
+    @pytest.mark.parametrize("damage, message", CRAFTED_MANIFESTS.values(), ids=CRAFTED_MANIFESTS.keys())
+    @pytest.mark.parametrize("command", ["inspect", "verify"])
+    def test_crafted_manifest_exits_2(self, command, damage, message, tmp_path, capsys):
+        # a usage error, not verify's "not preserved" exit 1 nor a traceback
+        good, bad = tmp_path / "good.nmph", tmp_path / "bad.nmph"
+        good.write_bytes(serialize(_sample_net()))
+        bad.write_bytes(damage(good.read_bytes()))
+        argv = ["inspect", "-i", str(bad)] if command == "inspect" else ["verify", "-a", str(good), "-b", str(bad)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert stdout == "" and stderr.startswith("error=") and message in stderr and "Traceback" not in stderr
+
+    def test_verify_stacks_at_depth_limit_passes(self, tmp_path, capsys):
+        parent, child = tmp_path / "parent.nmph", tmp_path / "child.nmph"
+        parent.write_bytes(serialize(_sample_net()))
+        child.write_bytes(nest_first_layer(parent.read_bytes(), MAX_STACK_DEPTH))
+        code, stdout, _ = run(capsys, "verify", "-a", str(parent), "-b", str(child))
+        assert code == EXIT_OK and "pass=true" in stdout
 
 
 class TestMorphVerify:

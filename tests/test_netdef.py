@@ -120,7 +120,30 @@ class TestLayers:
             with pytest.raises(ShapeError, match="pad must be an integer >= 0"):
                 ConvLayer(weights=np.zeros((1, 1, 3, 3)), bias=np.zeros(1), pad=pad)
 
-    @pytest.mark.parametrize("k, pad, side", [(3, 0, 3), (3, 3, 9), (1, 2, 9), (5, 2, 5)])
+    def test_numpy_integer_pad_is_stored_as_int(self):
+        rng = make_rng(23)
+        w, b = rng.standard_normal((2, 1, 3, 3)), rng.standard_normal(2)
+        numpy_pad, int_pad = ConvLayer(w, b, np.int64(1)), ConvLayer(w, b, 1)
+        assert numpy_pad == int_pad and type(numpy_pad.pad) is int
+        nets = [NetworkDef(input_shape=(1, 4, 4), layers=[conv]) for conv in (numpy_pad, int_pad)]
+        assert serialize(nets[0]) == serialize(nets[1])
+        for pad in (1.0, -1):
+            with pytest.raises(ShapeError):
+                ConvLayer(w, b, pad)
+
+    def test_stack_depth_limited(self):
+        def nested(depth):
+            layer = same_pad_conv(np.ones((1, 1, 3, 3)))
+            for _ in range(depth):
+                layer = ParallelLayer(paths=((layer,),))
+            return [layer]
+
+        net = NetworkDef(input_shape=(1, 4, 4), layers=nested(netdef.MAX_STACK_DEPTH))
+        assert forward(net, np.ones((1, 4, 4))).shape == (1, 4, 4)
+        with pytest.raises(ShapeError, match="nested more than"):
+            NetworkDef(input_shape=(1, 4, 4), layers=nested(netdef.MAX_STACK_DEPTH + 1))
+
+    @pytest.mark.parametrize("k, pad, side",[(3, 0, 3), (3, 3, 9), (1, 2, 9), (5, 2, 5)])
     def test_any_pad_walks_the_spatial_size(self, k, pad, side):
         conv = ConvLayer(weights=np.zeros((2, 1, k, k)), bias=np.zeros(2), pad=pad)
         net = NetworkDef(input_shape=(1, 5, 5), layers=[conv, same_pad_conv(np.zeros((3, 2, 5, 5)))])

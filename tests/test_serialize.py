@@ -17,13 +17,14 @@ from netmorph import (
     PActLayer,
     ParallelLayer,
     deserialize,
+    forward,
     load,
     make_rng,
     same_pad_conv,
     save,
     serialize,
 )
-from netmorph.netdef import BASES
+from netmorph.netdef import BASES, MAX_STACK_DEPTH
 
 
 def _sample_net(seed=0):
@@ -261,6 +262,50 @@ DAMAGED_FILES = {
 def test_damaged_files_with_valid_checksum_rejected(damage, message):
     with pytest.raises(FormatError, match=message):
         deserialize(damage(serialize(_sample_net())))
+
+
+def nest_first_layer(data, depth):
+    """Weight-file bytes whose first layer lies inside ``depth`` nested
+    one-path stacks, with a valid CRC-32.  The manifest is written as text:
+    ``json.dumps`` itself overflows the stack a few hundred levels deep."""
+    (mlen,) = struct.unpack("<I", data[5:9])
+    manifest = json.loads(data[9 : 9 + mlen])
+    first = json.dumps(manifest["layers"][0], sort_keys=True, separators=(",", ":"))
+    manifest["layers"][0] = None
+    nested = '{"kind":"parallel","paths":[[' * depth + first + "]]}" * depth
+    text = json.dumps(manifest, sort_keys=True, separators=(",", ":")).replace('"layers":[null', '"layers":[' + nested, 1)
+    mbytes = text.encode("utf-8")
+    return _with_crc(data[:5] + struct.pack("<I", len(mbytes)) + mbytes + data[9 + mlen : -4])
+
+
+# Files with a valid CRC-32 whose manifest holds a layer entry that is not
+# a JSON object, or nests stacks too deep: (damage applied to a sample
+# file, the error's message)
+CRAFTED_MANIFESTS = {
+    "layer-not-object": (lambda d: rewrite_manifest(d, lambda m: m.update(layers=[1])), "must be objects"),
+    "path-entry-not-object": (
+        lambda d: rewrite_manifest(d, lambda m: m["layers"].__setitem__(0, {"kind": "parallel", "paths": [[1]]})),
+        "must be objects",
+    ),
+    "stacks-past-depth-limit": (lambda d: nest_first_layer(d, MAX_STACK_DEPTH + 1), "nested more than"),
+    "stacks-200-deep": (lambda d: nest_first_layer(d, 200), "nested more than"),
+    "stacks-past-json-depth": (lambda d: nest_first_layer(d, 2000), "recursion depth"),
+}
+
+
+@pytest.mark.parametrize("damage, message", CRAFTED_MANIFESTS.values(), ids=CRAFTED_MANIFESTS.keys())
+def test_crafted_manifests_rejected(damage, message):
+    with pytest.raises(FormatError, match=message):
+        deserialize(damage(serialize(_sample_net())))
+
+
+def test_stacks_at_depth_limit_round_trip():
+    data = serialize(_sample_net())
+    nested = nest_first_layer(data, MAX_STACK_DEPTH)
+    net = deserialize(nested)
+    assert serialize(net) == nested
+    x = make_rng(4).standard_normal((2, 6, 6))
+    assert np.array_equal(forward(net, x), forward(deserialize(data), x))
 
 
 def test_non_same_pads_round_trip_byte_for_byte():

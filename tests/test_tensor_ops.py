@@ -476,6 +476,35 @@ class TestFactorSolveProperties:
         if kind == "zero":
             assert not solved.any() and res == pytest.approx(np.linalg.norm(g), rel=1e-12)
 
+    @pytest.mark.parametrize("solve_side", ["upper", "lower"])
+    @pytest.mark.parametrize("fixed_kernel, free_kernel", [(1, 3), (3, 1)], ids=["fixed-1x1", "free-1x1"])
+    def test_1x1_side_builds_no_columns(self, solve_side, fixed_kernel, free_kernel, monkeypatch):
+        # a factor system with a 1x1 side, fixed or free, is one channel
+        # system: no conv columns are built for it
+        calls = []
+        columns = tensor_ops._columns
+
+        def recording_columns(x, k, pad):
+            calls.append((x.shape, k, pad))
+            return columns(x, k, pad)
+
+        monkeypatch.setattr(tensor_ops, "_columns", recording_columns)
+        c_in, c_mid, c_out = 3, 4, 5
+        rng = make_rng(22)
+        if solve_side == "upper":
+            fixed_shape, free_shape = (c_mid, c_in, fixed_kernel, fixed_kernel), (c_out, c_mid, free_kernel, free_kernel)
+        else:
+            fixed_shape, free_shape = (c_out, c_mid, fixed_kernel, fixed_kernel), (c_mid, c_in, free_kernel, free_kernel)
+        kt = fixed_kernel + free_kernel - 1
+        g = rng.standard_normal((c_out, c_in, kt, kt))
+        fixed = rng.standard_normal(fixed_shape)
+        solved, res = lstsq_factor_step(g, fixed, solve_side)
+        assert calls == []
+        want, want_res = _dense_solve(g, fixed, solve_side, free_shape)
+        assert solved.shape == free_shape
+        np.testing.assert_allclose(solved, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
+        assert abs(res - want_res) <= 1e-9 * max(1.0, np.linalg.norm(g))
+
 
 @st.composite
 def gram_matrices(draw, n=None, kinds=("spread", "singular", "zero")):
