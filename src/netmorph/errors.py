@@ -1,6 +1,10 @@
-"""Exception hierarchy shared by the whole package, and the integer check
-that raises one of them."""
+"""Exception hierarchy shared by the whole package, and the two argument
+checks that raise one of them: ``_index`` for integers and ``_finite`` for
+finite numbers, each with an optional lower bound.  Every size, count,
+seed, tol and training setting is read through one of them, so a
+non-number (a string, ``None``) is a ``ShapeError`` too."""
 
+import math
 import operator
 
 
@@ -42,3 +46,17 @@ def _index(value, name: str, low=None) -> int:
         bound = "" if low is None else f" >= {low}"
         raise ShapeError(f"{name} must be an integer{bound}, got {value!r}")
     return index
+
+
+def _finite(value, name: str, low=None, strict=False) -> None:
+    """A ``ShapeError`` naming ``name`` unless ``value`` lies between -inf
+    and inf and, with ``low``, at or above ``low`` (above it, when
+    ``strict``).  An int too large for a float passes; a value that does
+    not compare (str, None, complex, a many-entry array) does not."""
+    try:
+        ok = -math.inf < value < math.inf and (low is None or (value > low if strict else value >= low))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+        raise ShapeError(f"{name} must be a finite number{bound}, got {value}")

@@ -12,23 +12,17 @@ to the requested kernel afterwards, trading outer-ring sparsity for
 guaranteed convergence in the expanding regime.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InfeasibleMorphError, ShapeError, _index
+from .errors import InfeasibleMorphError, ShapeError, _finite, _index
 from .netdef import ConvLayer, NetworkDef, PActLayer
 from .rng import make_rng
-from .tensor_ops import as_filter, lstsq_factor_step, pad_filter
+from .tensor_ops import _growth, as_filter, lstsq_factor_step, pad_filter
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 20
-
-
-def _check_tol(tol):
-    if not 0 < tol < math.inf:  # also rejects NaN
-        raise ShapeError(f"tol must be a finite number > 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -42,15 +36,11 @@ class DepthMorphRequest:
     tol: float = DEFAULT_TOL  # relative Frobenius residual treated as "loss = 0"
 
     def __post_init__(self):
-        for name in ("layer_index", "c_l", "k1", "k2", "max_iter", "seed"):
-            _index(getattr(self, name), name)
-        if self.c_l < 1:
-            raise ShapeError(f"new hidden width must be >= 1, got {self.c_l}")
-        if self.k1 < 1 or self.k1 % 2 == 0 or self.k2 < 1 or self.k2 % 2 == 0:
-            raise ShapeError(f"factor kernels must be odd and >= 1, got k1={self.k1}, k2={self.k2}")
-        _check_tol(self.tol)
-        if self.max_iter < 1:
-            raise ShapeError("max_iter must be >= 1")
+        for name, low in (("layer_index", None), ("c_l", 1), ("k1", 1), ("k2", 1), ("max_iter", 1), ("seed", None)):
+            _index(getattr(self, name), name, low=low)
+        if self.k1 % 2 == 0 or self.k2 % 2 == 0:
+            raise ShapeError(f"factor kernels must be odd, got k1={self.k1}, k2={self.k2}")
+        _finite(self.tol, "tol", low=0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -70,14 +60,6 @@ def converge_condition(c_lm1: int, c_l: int, c_lp1: int, k1: int, k2: int) -> bo
         raise ShapeError("all counts must be positive")
     target = c_lp1 * c_lm1 * (k1 + k2 - 1) ** 2
     return min(c_l * c_lm1 * k1 * k1, c_lp1 * c_l * k2 * k2) >= target
-
-
-def _check_parity(k: int, kt: int):
-    """Parent kernel ``k`` must fit centred in effective kernel ``kt``."""
-    if kt < k:
-        raise ShapeError(f"effective kernel {kt} smaller than parent kernel {k}")
-    if (kt - k) % 2 != 0:
-        raise ShapeError(f"effective kernel {kt} and parent kernel {k} have mismatched parity")
 
 
 def _alternate(g, req, k1, k2, shrunk_kernel, rng, max_iter):
@@ -138,7 +120,6 @@ def _rebalanced(outcome: MorphOutcome) -> MorphOutcome:
 def morph_general(g, req: DepthMorphRequest) -> MorphOutcome:
     """Alternating-least-squares factorization of g (general algorithm)."""
     g = as_filter(g)
-    _check_parity(g.shape[2], req.k1 + req.k2 - 1)
     return _rebalanced(_alternate(g, req, req.k1, req.k2, req.k2, make_rng(req.seed), req.max_iter))
 
 
@@ -148,7 +129,7 @@ def morph_practical(g, req: DepthMorphRequest) -> MorphOutcome:
     as the parent filter ("expands" it)."""
     g = as_filter(g)
     c_lp1, c_lm1, k, _ = g.shape
-    _check_parity(k, req.k1 + req.k2 - 1)
+    _growth(k, req.k1 + req.k2 - 1)
     count_g = g.size
     lo_expands = req.c_l * c_lm1 * req.k1 * req.k1 >= count_g
     hi_expands = c_lp1 * req.c_l * req.k2 * req.k2 >= count_g

@@ -10,11 +10,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleMorphError, ShapeError, _index
-from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _check_parity, _check_tol, _conv_at, factor_chain, morph_practical
+from .errors import InfeasibleMorphError, ShapeError, _finite, _index
+from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _conv_at, factor_chain, morph_practical
 from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer, pact_eval
 from .rng import make_rng
-from .tensor_ops import as_filter, pad_filter
+from .tensor_ops import _growth, as_filter, pad_filter
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class SubnetMorphRequest:
         if len(self.path_specs) != len(self.split_weights):
             raise ShapeError("one split weight per path is required")
         _check_split_weights(self.split_weights)
-        _check_tol(self.tol)
+        _finite(self.tol, "tol", low=0, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +155,15 @@ def morph_sequential(g, widths, kernels, seed: int = 0, tol: float = DEFAULT_TOL
     so a one-kernel chain is ``g`` grown to that kernel.
     """
     g = as_filter(g)
-    kernels = [_index(v, "kernel") for v in kernels]
-    widths = [_index(v, "width") for v in widths]
+    kernels = [_index(v, "kernel", low=1) for v in kernels]
+    widths = [_index(v, "width", low=1) for v in widths]
     n = len(kernels)
     if n < 1:
         raise ShapeError("a sequential morph needs at least one layer")
     if len(widths) != n - 1:
         raise ShapeError(f"{n} kernels need {n - 1} widths, got {len(widths)}")
-    if any(v < 1 for v in widths):
-        raise ShapeError("widths must be positive")
-    if any(v < 1 or v % 2 == 0 for v in kernels):
-        raise ShapeError("kernels must be odd and >= 1")
+    if any(v % 2 == 0 for v in kernels):
+        raise ShapeError("kernels must be odd")
 
     factors, rest = [], g
     for p in range(n - 1):
@@ -197,7 +195,7 @@ def morph_stacked(net: NetworkDef, req: SubnetMorphRequest) -> NetworkDef:
             raise ShapeError("empty path spec")
         if spec[-1][1] != target.c_out:
             raise ShapeError(f"each path must end with {target.c_out} channels, got {spec[-1][1]}")
-        _check_parity(k, sum(kk for kk, _ in spec) - (len(spec) - 1))
+        _growth(k, sum(kk for kk, _ in spec) - (len(spec) - 1))
 
     if len(req.path_specs) == 1 and len(req.path_specs[0]) == 1 and req.path_specs[0][0][0] == k:
         return net  # degenerate one-way stack of the original layer

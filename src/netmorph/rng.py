@@ -8,20 +8,12 @@ the numpy random API compatibility policy; uniform draws come from
 (ziggurat), both of which are stable across platforms for a given seed.
 """
 
-import operator
-
 import numpy as np
 
-from .errors import ShapeError
+from .errors import _index
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Return the package-standard generator (PCG64) for a 64-bit seed;
     a seed that is not an integer of at least 0 raises ``ShapeError``."""
-    try:
-        ok = operator.index(seed) >= 0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ShapeError(f"seed must be an integer >= 0, got {seed!r}")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_index(seed, "seed", low=0)))

@@ -38,7 +38,7 @@ import functools
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, _index
 
 __all__ = [
     "as_blob",
@@ -98,7 +98,7 @@ def conv_mc(x, f, pad: int = 0) -> np.ndarray:
         raise ShapeError(f"filter expects {c_in} input channels, blob has {c}")
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {k}")
-    if pad < 0:
+    if _index(pad, "pad") < 0:
         raise ShapeError("pad must be non-negative")
     oh = h + 2 * pad - k + 1
     ow = w + 2 * pad - k + 1
@@ -228,15 +228,20 @@ def compose_filters(f_lo, f_hi) -> np.ndarray:
     return conv_batch(f_lo.transpose(1, 0, 2, 3), f_hi[:, :, ::-1, ::-1], k2 - 1).transpose(1, 0, 2, 3)
 
 
-def pad_filter(g, k_target: int) -> np.ndarray:
-    """Zero-pad a filter's kernel to ``k_target`` symmetrically."""
-    g = as_filter(g)
-    k = g.shape[2]
+def _growth(k: int, k_target: int) -> int:
+    """The width of the centred ring of zeros that grows kernel ``k`` to
+    ``k_target``; a kernel never shrinks, and grows by an even amount."""
     if k_target < k:
         raise ShapeError(f"cannot shrink kernel {k} to {k_target}")
     if (k_target - k) % 2 != 0:
         raise ShapeError(f"kernel growth {k}->{k_target} is not symmetric (parity mismatch)")
-    m = (k_target - k) // 2
+    return (k_target - k) // 2
+
+
+def pad_filter(g, k_target: int) -> np.ndarray:
+    """Zero-pad a filter's kernel to ``k_target`` symmetrically."""
+    g = as_filter(g)
+    m = _growth(g.shape[2], _index(k_target, "k_target"))
     if m == 0:
         return g.copy()
     return np.pad(g, ((0, 0), (0, 0), (m, m), (m, m)))
@@ -244,6 +249,7 @@ def pad_filter(g, k_target: int) -> np.ndarray:
 
 def identity_filter(c: int, k: int) -> np.ndarray:
     """Channel-identity filter: delta at the kernel center, per channel."""
+    c, k = _index(c, "c", low=0), _index(k, "k", low=1)
     f = np.zeros((c, c, k, k))
     f[np.arange(c), np.arange(c), k // 2, k // 2] = 1.0
     return f

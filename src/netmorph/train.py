@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, _index
+from .errors import FormatError, ShapeError, _finite, _index
 from .netdef import NetworkDef, backward_pass, forward_batch, forward_pass
 from .rng import make_rng
 
@@ -50,20 +50,10 @@ class TrainConfig:
     a_learning_rate: float = 0.01
 
     def __post_init__(self):
-        for name in ("learning_rate", "a_learning_rate"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:  # also rejects NaN
-                raise ShapeError(f"{name} must be a finite number >= 0, got {value}")
-        if not math.isfinite(self.momentum):
-            raise ShapeError(f"momentum must be a finite number, got {self.momentum}")
-        for name in ("batch_size", "epochs", "seed"):
-            _index(getattr(self, name), name)
-        if self.batch_size < 1:
-            raise ShapeError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ShapeError("epochs must be >= 0")
-        if self.seed < 0:
-            raise ShapeError("seed must be >= 0")
+        for name, low in (("learning_rate", 0), ("a_learning_rate", 0), ("momentum", None)):
+            _finite(getattr(self, name), name, low=low)
+        for name, low in (("batch_size", 1), ("epochs", 0), ("seed", 0)):
+            _index(getattr(self, name), name, low=low)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,11 @@ The leading layers parent and child share run once per sample, and their
 output feeds the rest of each net.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, _index
+from .errors import ShapeError, _finite, _index
 from .netdef import NetworkDef, forward_pass
 from .rng import make_rng
 
@@ -59,10 +58,8 @@ def check_preservation(parent: NetworkDef, child: NetworkDef, n_samples: int, to
     """
     if parent.input_shape != child.input_shape:
         raise ShapeError(f"input shapes differ: {parent.input_shape} vs {child.input_shape}")
-    if _index(n_samples, "n_samples") < 1:
-        raise ShapeError("n_samples must be >= 1")
-    if not 0 <= tol < math.inf:  # also rejects NaN
-        raise ShapeError(f"tol must be a finite number >= 0, got {tol}")
+    _index(n_samples, "n_samples", low=1)
+    _finite(tol, "tol", low=0)
     if parent._output_shape != child._output_shape:
         raise ShapeError(f"output shapes differ: {parent._output_shape} vs {child._output_shape}")
     head = _align(parent, child)

@@ -311,7 +311,7 @@ class TestMorphSequential:
             morph_sequential(np.zeros((1, 1, 1, 1)), widths=[1, 1], kernels=[1, 1], seed=0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), "1e-8", None])
 def test_subnet_request_rejects_meaningless_tol(tol):
     with pytest.raises(ShapeError, match="tol must be a finite number > 0"):
         SubnetMorphRequest(0, [[(5, 8)], [(7, 8)]], [0.5, 0.5], tol=tol)

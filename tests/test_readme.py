@@ -6,6 +6,8 @@ import shlex
 
 from netmorph.cli import EXIT_OK, main
 
+from test_train import write_idx_pair
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -39,3 +41,23 @@ def test_command_line_examples_run(tmp_path, monkeypatch, capsys):
         assert code == EXIT_OK, argv
         if argv[0] == "verify":
             assert "pass=true" in out.splitlines()
+
+
+def test_mnist_example_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    data = tmp_path / "data"
+    for stem, n, seed in (("train", 60, 0), ("t10k", 30, 1)):
+        (data / stem).mkdir(parents=True)
+        images, labels, *_ = write_idx_pair(data / stem, n=n, rows=28, cols=28, seed=seed)
+        images.rename(data / f"{stem}-images-idx3-ubyte")
+        labels.rename(data / f"{stem}-labels-idx1-ubyte")
+    commands = _commands(_block("MNIST", "sh"))
+    assert [argv[0] for argv in commands] == ["parse", "train", "morph", "eval", "train"]
+    outputs = []
+    for argv in commands:
+        code = main(argv)
+        outputs.append(capsys.readouterr().out)
+        assert code == EXIT_OK, argv
+    # "identical accuracy to parent": eval of the child prints the line train printed for the parent
+    parent_accuracy = [line for line in outputs[1].splitlines() if line.startswith("accuracy=")]
+    assert len(parent_accuracy) == 1 and outputs[3].splitlines() == parent_accuracy

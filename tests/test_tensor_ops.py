@@ -264,6 +264,22 @@ class TestPadCropFilter:
             pad_filter(np.zeros((1, 1, 3, 3)), 4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: conv_mc(np.zeros((1, 4, 4)), np.zeros((1, 1, 3, 3)), pad=1.0),
+        lambda: pad_filter(np.zeros((1, 1, 3, 3)), 5.0),
+        lambda: identity_filter(2.0, 3),
+        lambda: identity_filter(2, 3.0),
+    ],
+    ids=["conv_mc-pad", "pad_filter-k_target", "identity_filter-c", "identity_filter-k"],
+)
+def test_float_size_rejected(call):
+    # a float such as 5.0 is not an integer, although it names one exactly
+    with pytest.raises(ShapeError, match="must be an integer"):
+        call()
+
+
 class TestLstsqFactorStep:
     def test_factorable_target_upper(self):
         rng = make_rng(10)

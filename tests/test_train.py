@@ -419,6 +419,10 @@ class TestTrainConfig:
             {"momentum": float("nan")},
             {"momentum": float("inf")},
             {"momentum": float("-inf")},
+            {"learning_rate": "1e-8"},
+            {"learning_rate": None},
+            {"momentum": "1e-8"},
+            {"momentum": None},
             {"epochs": -1},
             {"batch_size": 0},
             {"epochs": 1.5},

@@ -117,7 +117,7 @@ class TestCheckPreservation:
         assert np.isnan(report.max_abs_dev) and not report.pass_
         assert "max_abs_dev=nan" in report.to_text() and "pass=false" in report.to_text()
 
-    @pytest.mark.parametrize("tol", [np.inf, -1.0, np.nan], ids=["inf", "negative", "nan"])
+    @pytest.mark.parametrize("tol", [np.inf, -1.0, np.nan, "1e-8", None], ids=["inf", "negative", "nan", "string", "none"])
     def test_meaningless_tol_rejected(self, tol):
         # tol=inf used to pass two unrelated nets; -1 and nan failed every pair
         with pytest.raises(ShapeError, match="tol"):
