@@ -36,7 +36,7 @@ class DepthMorphRequest:
     tol: float = DEFAULT_TOL  # relative Frobenius residual treated as "loss = 0"
 
     def __post_init__(self):
-        for name, low in (("layer_index", None), ("c_l", 1), ("k1", 1), ("k2", 1), ("max_iter", 1), ("seed", None)):
+        for name, low in (("layer_index", None), ("c_l", 1), ("k1", 1), ("k2", 1), ("max_iter", 1), ("seed", 0)):
             _index(getattr(self, name), name, low=low)
         if self.k1 % 2 == 0 or self.k2 % 2 == 0:
             raise ShapeError(f"factor kernels must be odd, got k1={self.k1}, k2={self.k2}")

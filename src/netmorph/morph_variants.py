@@ -24,12 +24,12 @@ class WidthMorphRequest:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("layer_index", "new_width", "seed"):
-            _index(getattr(self, name), name)
+        for name, low in (("layer_index", None), ("new_width", None), ("seed", 0)):
+            _index(getattr(self, name), name, low=low)
 
 
 def _check_split_weights(weights):
-    # "not <=" also rejects a NaN sum, which any non-finite weight produces
+    # "not <=" also rejects a NaN sum
     if not abs(sum(weights) - 1.0) <= 1e-12:
         raise ShapeError(f"split weights must be finite and sum to 1, got {sum(weights)}")
 
@@ -46,10 +46,12 @@ class SubnetMorphRequest:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        for name in ("layer_index", "seed"):
-            _index(getattr(self, name), name)
+        for name, low in (("layer_index", None), ("seed", 0)):
+            _index(getattr(self, name), name, low=low)
         specs = tuple(tuple((_index(k, "path kernel"), _index(c, "path channels")) for k, c in p) for p in self.path_specs)
         object.__setattr__(self, "path_specs", specs)
+        for w in self.split_weights:
+            _finite(w, "split weight")
         object.__setattr__(self, "split_weights", tuple(float(w) for w in self.split_weights))
         if len(self.path_specs) != len(self.split_weights):
             raise ShapeError("one split weight per path is required")

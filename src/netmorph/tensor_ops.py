@@ -14,24 +14,30 @@ Conventions used throughout the package:
   input and the second pads nothing: only a zero-padded intermediate blob
   breaks the composition at the image border.
 
-Every convolution runs through one kernel, ``conv_batch``, which expands
-whichever side of the conv is smaller by the k*k kernel offsets.  A conv
-that at least halves the channels (2*c_out <= c_in, k > 1) multiplies the
-filter's rows with the raw input and folds the c_out-channel product into
-the output by k*k shifted adds (``_fold``); every other conv multiplies
-the filter with the channel-major columns of the input (``_columns``,
-c_in*k*k rows).  Both read the window bounds from one helper
-(``_windows``), and a negative pad there crops the input.  Filter
-composition is that kernel applied to the lower factor's input channels
-as a batch, and the input gradient is that kernel applied with the
-adjoint filter at pad k-1-pad, which crops when pad > k-1.
+Every convolution runs through one kernel, ``conv_batch``, which takes
+one of three routes by c_in, c_out and k alone.  A conv that at least
+halves the channels (2*c_out <= c_in, k > 1) multiplies the filter's rows
+with the raw input and folds the c_out-channel product into the output by
+k*k shifted adds (``_fold``).  A balanced one (c_in < 2*c_out <
+2*(k-1)*c_in) multiplies the filter's k*c_out rows with the input lowered
+along kernel columns only (``_lowered``, c_in*k rows) and folds the k
+planes of that product by whole output rows (``_row_fold``): its
+k*(c_in + c_out) rows are fewer than the columns' c_in*k*k there.  Every
+other conv multiplies the filter with the channel-major columns of the
+input (``_columns``, c_in*k*k rows).  All of them read the window bounds
+from one helper (``_spans``), and a negative pad there crops the input.
+Filter composition is that kernel applied to the lower factor's input
+channels as a batch, and the input gradient is that kernel applied with
+the adjoint filter at pad k-1-pad, which crops when pad > k-1.
 
 The least-squares factor solve (``lstsq_factor_step``) has one rule: when
 either factor is 1x1 its system matrix is the fixed factor's channel
 matrix, and otherwise the fixed factor's columns, transposed.  Either is
 solved through its smaller Gram matrix by a blocked Cholesky factor when
 that matrix is well conditioned, and by the SVD-backed
-``np.linalg.lstsq`` otherwise.
+``np.linalg.lstsq`` otherwise.  A conv system's residual is the composed
+filter's distance to the target, a conv of the fixed factor's channels, so
+its columns are built once per solve.
 """
 
 import functools
@@ -108,28 +114,32 @@ def conv_mc(x, f, pad: int = 0) -> np.ndarray:
 
 
 @functools.cache
-def _windows(h: int, w: int, k: int, pad: int) -> tuple:
-    """The in-range part of each kernel offset of a k x k conv at ``pad`` on
-    an h x w blob, as a tuple of (u, v, out, inp): at offset (u, v) the
-    output rows and columns ``out`` read the input rows and columns ``inp``
-    (each a pair of slices), output row y reading input row y + u - pad.
-    The rest of the output reads zero padding there, and offsets that reach
-    no input are left out.  A negative pad crops -pad rows and columns off
-    every side of the input.  Cached per shape: computing the slices took
-    0.6 us per offset, a fifth of the column build of a 3x32x32 blob.
-    """
-    oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-    windows = []
+def _spans(size: int, k: int, pad: int) -> tuple:
+    """The in-range part of each kernel offset of a k-wide conv at ``pad``
+    along one axis of length ``size``, as a tuple of (u, out, inp): at
+    offset u the outputs ``out`` read the inputs ``inp`` (two slices),
+    output y reading input y + u - pad.  The rest of the output reads zero
+    padding there, and offsets that reach no input are left out.  A
+    negative pad crops -pad entries off both ends of the input."""
+    n_out = size + 2 * pad - k + 1
+    spans = []
     for u in range(k):
-        y0, y1 = max(0, pad - u), min(oh, h + pad - u)
-        if y0 >= y1:
-            continue
-        for v in range(k):
-            x0, x1 = max(0, pad - v), min(ow, w + pad - v)
-            if x0 < x1:
-                inp = (slice(y0 + u - pad, y1 + u - pad), slice(x0 + v - pad, x1 + v - pad))
-                windows.append((u, v, (slice(y0, y1), slice(x0, x1)), inp))
-    return tuple(windows)
+        o0, o1 = max(0, pad - u), min(n_out, size + pad - u)
+        if o0 < o1:
+            spans.append((u, slice(o0, o1), slice(o0 + u - pad, o1 + u - pad)))
+    return tuple(spans)
+
+
+@functools.cache
+def _windows(h: int, w: int, k: int, pad: int) -> tuple:
+    """The in-range part of each kernel offset (u, v) of a k x k conv at
+    ``pad`` on an h x w blob, as a tuple of (u, v, out, inp), each of out
+    and inp a (rows, columns) pair of slices: ``_spans`` of both axes.
+    Cached per shape: computing the slices took 0.6 us per offset, a fifth
+    of the column build of a 3x32x32 blob."""
+    return tuple(
+        (u, v, (oy, ox), (iy, ix)) for u, oy, iy in _spans(h, k, pad) for v, ox, ix in _spans(w, k, pad)
+    )
 
 
 def _columns(x, k: int, pad: int) -> np.ndarray:
@@ -167,24 +177,72 @@ def _fold(x, f, pad: int) -> np.ndarray:
     return out
 
 
+def _lowered(x, k: int, pad: int) -> np.ndarray:
+    """The batch x lowered along kernel columns only: the (c*k, h*n*ow)
+    matrix whose row (c, v) holds, at column (y, b, x'), input row y of
+    sample b read at x' + v - pad, zero where that falls in the padding.
+    Rows are ordered like a filter's (c_in, k) axes, and one input row of
+    the whole batch is a contiguous run of n*ow columns."""
+    n, c, h, w = x.shape
+    ow = w + 2 * pad - k + 1
+    low = np.zeros((c, k, h, n, ow))
+    xt = x.transpose(1, 2, 0, 3)
+    for v, ox, ix in _spans(w, k, pad):
+        low[:, v, :, :, ox] = xt[:, :, :, ix]
+    return low.reshape(c * k, -1)
+
+
+def _row_fold(x, f, pad: int) -> np.ndarray:
+    """The conv of the batch x with f as (c_out, oh, n, ow), by folding
+    kernel rows over ``_lowered``: one product of the filter's (k*c_out,
+    c_in*k) rows with the lowered input gives one c_out-channel plane per
+    kernel row u, and output row y adds input row y + u - pad of plane u.
+    Rows of the batch are contiguous runs there, so each kernel row's add
+    is one flat slice.  Padding rows are never built: an input row out of
+    range adds nothing."""
+    n, c_in, h, w = x.shape
+    c_out, k = f.shape[0], f.shape[2]
+    oh, run = h + 2 * pad - k + 1, n * (w + 2 * pad - k + 1)
+    rows = f.transpose(2, 0, 1, 3).reshape(k * c_out, c_in * k)
+    prod = (rows @ _lowered(x, k, pad)).reshape(k, c_out, -1)
+    out = np.zeros((c_out, oh * run))
+    for u, oy, iy in _spans(h, k, pad):
+        out[:, oy.start * run : oy.stop * run] += prod[u, :, iy.start * run : iy.stop * run]
+    return out.reshape(c_out, oh, n, -1)
+
+
 def conv_batch(x, f, pad: int) -> np.ndarray:
     """``conv_mc`` over a batch x of shape (n, c, h, w), without input checks;
-    a negative pad crops x (``_windows``).
+    a negative pad crops x (``_spans``).  The result is a new array, never
+    a view of x or f: ``ConvLayer.forward`` adds its bias into it in place.
 
-    Two routes, each expanding the smaller side by the k*k kernel offsets.
-    A conv that at least halves the channels (2*c_out <= c_in, k > 1) is
-    folded (``_fold``): the filter's rows times the raw input, then k*k
-    shifted adds of c_out-channel planes.  Every other conv is one matrix
-    product of the filter with the channel-major columns of x
-    (``_columns``), c_in*k*k rows; for a 1x1 kernel that is a plain matrix
-    product over the channel axis.  On a 2-vCPU Xeon with OpenBLAS the fold
-    ran 96->32 and 32->4 3x3 convs 1.4 and 2.3 times as fast, and lost from
-    c_out/c_in = 2/3 up: 0.9 times as fast at 48->32 5x5, 0.3 at 32->128.
+    Three routes, chosen by c_in, c_out and k alone (see the module
+    docstring).  A conv that at least halves the channels (2*c_out <= c_in,
+    k > 1) is folded (``_fold``), a balanced one (c_in < 2*c_out <
+    2*(k-1)*c_in) is row-folded (``_row_fold``), and every other conv is
+    one matrix product of the filter with the channel-major columns of x
+    (``_columns``); for a 1x1 kernel that is a plain matrix product over
+    the channel axis.  Medians of 61 interleaved calls on one sample, in
+    ms, on a 2-vCPU Xeon with 2 OpenBLAS threads, in one process:
+
+    ==============================  =======  =====  ========  ==========
+    conv (c_in->c_out, k, pad, hw)  columns  fold   row-fold  rule picks
+    ==============================  =======  =====  ========  ==========
+    48->32, 5, 2, 32x32             2.48     2.67   1.48      row-fold
+    32->32, 5, 2, 32x32             1.75     2.66   1.26      row-fold
+    32->64, 5, 2, 32x32             2.31     5.05   1.97      row-fold
+    48->96, 3, 2, 32x32             1.64     3.47   1.81      columns
+    32->128, 5, 2, 32x32            3.18     11.04  3.84      columns
+    96->32, 3, 0, 34x34             1.96     1.16   1.28      fold
+    32->4, 3, 1, 32x32              0.47     0.19   0.20      fold
+    ==============================  =======  =====  ========  ==========
     """
     n, c_in, h, w = x.shape
     c_out, k = f.shape[0], f.shape[2]
     if k > 1 and 2 * c_out <= c_in:
         return _fold(x, f, pad).transpose(1, 0, 2, 3)
+    if k > 1 and c_in < 2 * c_out < 2 * (k - 1) * c_in:
+        return _row_fold(x, f, pad).transpose(2, 0, 1, 3)
     out = f.reshape(c_out, -1) @ _columns(x, k, pad)
     return out.reshape(c_out, n, h + 2 * pad - k + 1, w + 2 * pad - k + 1).transpose(1, 0, 2, 3)
 
@@ -305,31 +363,34 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     if min(kf, k2) == 1:
         a_t = fixed.reshape(c_mid, -1).T
         rcond = np.finfo(np.float64).eps * max(a_t.shape) * k2 * k2
-        sol, residual = _gram_solve(lambda: a_t, target, rcond, lambda: a_t.T @ a_t)
+        sol = _gram_solve(lambda: a_t, target, rcond, lambda: a_t.T @ a_t)
+        residual = float(np.linalg.norm(sol.T @ a_t.T - target.T))
         solved = sol.reshape(c_mid, -1, k2, k2).transpose(1, 0, 2, 3)
     else:
         # compose(f_lo, f_hi) is the flipped f_hi times the columns of f_lo's
         # input channels (see compose_filters): those columns, transposed, are
         # the system matrix, and one solve serves every output channel
         batch = fixed.transpose(1, 0, 2, 3)
-        sol, residual = _gram_solve(lambda: _columns(batch, k2, k2 - 1).T, target, None, lambda: _tall_gram(batch, k2))
+        sol = _gram_solve(lambda: _columns(batch, k2, k2 - 1).T, target, None, lambda: _tall_gram(batch, k2))
         solved = sol.T.reshape(-1, c_mid, k2, k2)[:, :, ::-1, ::-1]
+        residual = float(np.linalg.norm(compose_filters(fixed, solved) - g_tilde))
     if solve_side == "lower":
         solved = _adjoint(solved)
     return np.ascontiguousarray(solved), residual
 
 
 def _gram_solve(system, b, rcond, tall_gram):
-    """Least-squares x minimizing ||A x - b|| for A = system(), and that
-    residual: through the smaller Gram matrix when ``_well_conditioned``
-    says so (see ``lstsq_factor_step``), else by lstsq on A with cutoff
-    ``rcond``.  A tall system's A^T A comes from ``tall_gram()``, a wide
-    one's A A^T from A.  The Gram matrix is factorized in place by
-    ``_cholesky`` and solved by two block substitutions; should that
-    unshifted factorization fail after the shifted one passed, lstsq
-    solves.  A is built again after the Gram matrix is factorized rather
-    than kept (1-4 ms for conv columns): held, the columns raised
-    morph-chain's peak memory from 62.7 to 68 MiB.
+    """Least-squares x minimizing ||A x - b|| for A = system(): through the
+    smaller Gram matrix when ``_well_conditioned`` says so (see
+    ``lstsq_factor_step``), else by lstsq on A with cutoff ``rcond``.  A
+    tall system's A^T A comes from ``tall_gram()``, a wide one's A A^T from
+    A.  The Gram matrix is factorized in place by ``_cholesky`` and solved
+    by two block substitutions; should that unshifted factorization fail
+    after the shifted one passed, lstsq solves.  A is dropped before the
+    Gram matrix is built, and built again only when lstsq or a wide
+    system's x = A^T y needs it: held, conv columns raised morph-chain's
+    peak memory from 62.7 to 68 MiB.  The caller takes the residual
+    without A.
     """
     a = system()
     tall = a.shape[0] >= a.shape[1]
@@ -340,14 +401,11 @@ def _gram_solve(system, b, rcond, tall_gram):
     inv_blocks = _cholesky(gram) if _well_conditioned(gram) else None
     x = None if inv_blocks is None else _cholesky_solve(gram, inv_blocks, rhs)
     del gram
-    a = system()
     if x is None:
-        x, *_ = np.linalg.lstsq(a, b, rcond=rcond)
+        x, *_ = np.linalg.lstsq(system(), b, rcond=rcond)
     elif not tall:
-        x = a.T @ x
-    # ||A x - b|| taken as ||x^T A^T - b^T||: for conv columns A^T is their
-    # own row-major layout, and this runs a third faster than A x - b
-    return x, float(np.linalg.norm(x.T @ a.T - b.T))
+        x = system().T @ x
+    return x
 
 
 def _tall_gram(batch, k2: int) -> np.ndarray:

@@ -101,6 +101,19 @@ def test_non_integer_sizes_rejected(call):
         call()
 
 
+NEGATIVE_SEEDS = {
+    "depth": lambda: DepthMorphRequest(0, 8, 3, 1, seed=-1),
+    "width": lambda: WidthMorphRequest(0, 6, seed=-1),
+    "subnet": lambda: SubnetMorphRequest(0, [[(3, 4)]], [1.0], seed=-1),
+}
+
+
+@pytest.mark.parametrize("build", NEGATIVE_SEEDS.values(), ids=NEGATIVE_SEEDS.keys())
+def test_negative_seed_rejected_when_the_request_is_built(build):
+    with pytest.raises(ShapeError, match="seed must be an integer >= 0, got -1"):
+        build()
+
+
 def test_numpy_integer_sizes_accepted():
     net, i64 = _four_channel_net(), np.int64
     assert widen(net, WidthMorphRequest(i64(0), i64(6), seed=i64(1))).layers[0].c_out == 6
@@ -394,7 +407,9 @@ class TestMorphStacked:
         with pytest.raises(ShapeError):
             SubnetMorphRequest(layer_index=0, path_specs=[[(3, 4)]], split_weights=[0.9])
 
-    @pytest.mark.parametrize("weights", [[np.nan], [np.inf, -np.inf], [0.5, np.nan], [0.6, 0.6]])
+    @pytest.mark.parametrize(
+        "weights", [[np.nan], [np.inf, -np.inf], [0.5, np.nan], [0.6, 0.6], [None], [1j], ["1.0"], [0.5, "0.5"]]
+    )
     def test_non_finite_weights_rejected(self, weights):
         with pytest.raises(ShapeError, match="finite"):
             SubnetMorphRequest(layer_index=0, path_specs=[[(3, 4)]] * len(weights), split_weights=weights)

@@ -31,10 +31,21 @@ from netmorph.tensor_ops import (
 from conftest import naive_compose, naive_conv
 
 
-def _route_channels(narrows, c_out, extra):
-    """(c_out, c_in) on the folding side of 2*c_out <= c_in, or on the
-    columns side."""
-    return (c_out, 2 * c_out + extra) if narrows else (c_out, max(1, 2 * c_out - 1 - extra))
+def _route_channels(route, c, extra, k):
+    """(c_out, c_in) on ``route``'s side of ``conv_batch``'s rule for a k x k
+    kernel: "fold" has 2*c_out <= c_in, "row-fold" c_in < 2*c_out <
+    2*(k-1)*c_in, "columns" c_out >= (k-1)*c_in (c_in = c there).  A 1x1
+    conv builds columns whatever its channels."""
+    k = max(k, 3)
+    if route == "fold":
+        return c, 2 * c + extra
+    if route == "row-fold":
+        low = c // (k - 1) + 1
+        return c, low + extra % (2 * c - low)
+    return (k - 1) * c + extra, c
+
+
+ROUTES = ("fold", "row-fold", "columns")
 
 
 class TestConvMC:
@@ -74,7 +85,7 @@ class TestConvMC:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.booleans(),
+        st.sampled_from(ROUTES),
         st.integers(1, 3),
         st.integers(0, 2),
         st.sampled_from([1, 3, 5]),
@@ -84,12 +95,12 @@ class TestConvMC:
         st.integers(1, 5),
         st.integers(0, 2**16),
     )
-    def test_any_pad_and_size_matches_naive(self, narrows, c_out, extra, k, data, n, h, w, seed):
+    def test_any_pad_and_size_matches_naive(self, route, c, extra, k, data, n, h, w, seed):
         # windows clipped on both sides: negative pads (a crop), pads beyond
-        # k-1 and images smaller than the kernel, on both routes of conv_batch
+        # k-1 and images smaller than the kernel, on every route of conv_batch
         pad = data.draw(st.integers(-2, k + 1))
         assume(min(h, w) + 2 * pad >= k)
-        c_out, c_in = _route_channels(narrows, c_out, extra)
+        c_out, c_in = _route_channels(route, c, extra, k)
         rng = make_rng(seed)
         x = rng.standard_normal((n, c_in, h, w))
         f = rng.standard_normal((c_out, c_in, k, k))
@@ -119,11 +130,12 @@ class TestConvMC:
 
 class TestConvRoutes:
     """``conv_batch`` folds a conv that at least halves the channels
-    (2*c_out <= c_in, k > 1) and builds columns for every other conv."""
+    (2*c_out <= c_in, k > 1), row-folds a balanced one (c_in < 2*c_out <
+    2*(k-1)*c_in) and builds columns for every other conv."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.booleans(),
+        st.sampled_from(ROUTES),
         st.integers(1, 4),
         st.integers(0, 3),
         st.sampled_from([1, 3, 5]),
@@ -131,12 +143,12 @@ class TestConvRoutes:
         st.integers(1, 7),
         st.integers(0, 2**16),
     )
-    def test_input_grad_is_the_adjoint(self, narrows, c_out, extra, k, data, side, seed):
-        # <conv(x), dy> = <x, conv_input_grad(dy)>: the input gradient of a
-        # narrowing conv builds columns and that of a widening one folds
+    def test_input_grad_is_the_adjoint(self, route, c, extra, k, data, side, seed):
+        # <conv(x), dy> = <x, conv_input_grad(dy)>: the input gradient swaps
+        # c_in and c_out, so it often takes another route than the conv
         pad = data.draw(st.integers(0, k + 1))
         assume(side + 2 * pad >= k)
-        c_out, c_in = _route_channels(narrows, c_out, extra)
+        c_out, c_in = _route_channels(route, c, extra, k)
         rng = make_rng(seed)
         x = rng.standard_normal((2, c_in, side, side + 1))
         f = rng.standard_normal((c_out, c_in, k, k))
@@ -146,7 +158,31 @@ class TestConvRoutes:
         assert dx.shape == x.shape
         assert np.vdot(y, dy) == pytest.approx(np.vdot(x, dx), rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("c_out, c_in", [(1, 2), (2, 1)], ids=["fold", "columns"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([3, 5, 7]),
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.data(),
+        st.integers(0, 2**16),
+    )
+    def test_row_fold_matches_naive(self, n, k, c, extra, data, seed):
+        # pads from -(k-1), a crop as conv_input_grad takes, to k+1, and
+        # channel ratios inside the row-fold band, narrowing and widening
+        pad = data.draw(st.integers(-(k - 1), k + 1))
+        h, w = (max(1, k - 2 * pad) + data.draw(st.integers(0, 2)) for _ in range(2))
+        c_out, c_in = _route_channels("row-fold", c, extra, k)
+        rng = make_rng(seed)
+        x = rng.standard_normal((n, c_in, h, w))
+        f = rng.standard_normal((c_out, c_in, k, k))
+        got = tensor_ops._row_fold(x, f, pad).transpose(2, 0, 1, 3)
+        crop = max(-pad, 0)
+        for i in range(n):
+            cropped = x[i][:, crop : h - crop, crop : w - crop]
+            np.testing.assert_allclose(got[i], naive_conv(cropped, f, max(pad, 0)), atol=1e-12)
+
+    @pytest.mark.parametrize("c_out, c_in", [(1, 2), (2, 2), (2, 1)], ids=["fold", "row-fold", "columns"])
     def test_offsets_that_reach_no_input_are_skipped(self, c_out, c_in):
         # a 9x9 kernel at pad 4 on a 3x3 blob: at kernel rows 0, 1, 7 and 8
         # every output row reads zero padding
@@ -158,26 +194,60 @@ class TestConvRoutes:
             np.testing.assert_allclose(got[i], naive_conv(x[i], f, 4), atol=1e-12)
 
     @pytest.mark.parametrize(
-        "shape, folds",
-        [((4, 32, 3, 3), True), ((32, 96, 3, 3), True), ((32, 48, 5, 5), False), ((128, 32, 5, 5), False)],
+        "shape, route",
+        [
+            ((4, 32, 3, 3), "fold"),
+            ((32, 96, 3, 3), "fold"),
+            ((32, 48, 5, 5), "row-fold"),
+            ((128, 32, 5, 5), "columns"),
+            ((32, 32, 5, 5), "row-fold"),
+            ((64, 32, 5, 5), "row-fold"),
+            ((96, 48, 3, 3), "columns"),
+        ],
     )
-    def test_route_choice(self, shape, folds, monkeypatch):
+    def test_route_choice(self, shape, route, monkeypatch):
         # the subnet paths' 32->4 and the depth block's 96->32 fold; the
-        # paper's 48->32 5x5 and 32->128 5x5 convs build columns
+        # widened 48->32 5x5, a 32->32 and a 32->64 5x5 row-fold; the paper's
+        # 32->128 5x5 and a 48->96 3x3, at the band's upper edge, build columns
         calls = []
-        columns = tensor_ops._columns
+        for name in ("_columns", "_lowered"):
+            built = getattr(tensor_ops, name)
 
-        def recording_columns(x, k, pad):
-            calls.append(x.shape)
-            return columns(x, k, pad)
+            def recording(x, k, pad, name=name, built=built):
+                calls.append(name)
+                return built(x, k, pad)
 
-        monkeypatch.setattr(tensor_ops, "_columns", recording_columns)
+            monkeypatch.setattr(tensor_ops, name, recording)
         rng = make_rng(10)
         k = shape[2]
         x = rng.standard_normal((1, shape[1], 12, 12))
         f = rng.standard_normal(shape)
         conv_batch(x, f, k // 2)
-        assert (calls == []) == folds
+        assert calls == {"fold": [], "row-fold": ["_lowered"], "columns": ["_columns"]}[route]
+
+    @pytest.mark.parametrize("route, k", [("fold", 3), ("row-fold", 5), ("columns", 5), ("columns", 1)])
+    def test_output_is_a_fresh_array(self, route, k):
+        # ConvLayer.forward adds its bias into conv_batch's output in place
+        c_out, c_in = _route_channels(route, 2, 1, k)
+        rng = make_rng(12)
+        x = rng.standard_normal((1, c_in, 6, 6))
+        f = rng.standard_normal((c_out, c_in, k, k))
+        x0, f0 = x.copy(), f.copy()
+        y = conv_batch(x, f, k // 2)
+        assert not np.shares_memory(y, x) and not np.shares_memory(y, f)
+        assert not np.shares_memory(y, conv_batch(x, f, k // 2))
+        y += 1.0
+        assert np.array_equal(x, x0) and np.array_equal(f, f0)
+
+    @staticmethod
+    def _traced_peak(run):
+        run()  # warm-up: allocator pools
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_fold_peak_memory_below_columns(self):
         # morph-chain's (3:96)->(3:32) conv on a 96x34x34 blob: the fold's
@@ -185,19 +255,20 @@ class TestConvRoutes:
         rng = make_rng(11)
         x = rng.standard_normal((1, 96, 34, 34))
         f = rng.standard_normal((32, 96, 3, 3))
-
-        def traced_peak(run):
-            run()  # warm-up: allocator pools
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        fold_peak = traced_peak(lambda: conv_batch(x, f, 1))
-        columns_peak = traced_peak(lambda: f.reshape(32, -1) @ _columns(x, 3, 1))
+        fold_peak = self._traced_peak(lambda: conv_batch(x, f, 1))
+        columns_peak = self._traced_peak(lambda: f.reshape(32, -1) @ _columns(x, 3, 1))
         assert fold_peak < columns_peak, f"{fold_peak / 2**20:.2f} vs {columns_peak / 2**20:.2f} MiB"
+
+    def test_row_fold_peak_memory_below_columns(self):
+        # morph-chain's widened 48->32 5x5 conv on a 48x32x32 blob: the
+        # lowered input holds 48*5 rows (2.0 MB) and the product 32*5 planes
+        # (1.3 MB), the columns 48*25 rows (9.8 MB)
+        rng = make_rng(13)
+        x = rng.standard_normal((1, 48, 32, 32))
+        f = rng.standard_normal((32, 48, 5, 5))
+        row_fold_peak = self._traced_peak(lambda: conv_batch(x, f, 2))
+        columns_peak = self._traced_peak(lambda: f.reshape(32, -1) @ _columns(x, 5, 2))
+        assert row_fold_peak < columns_peak, f"{row_fold_peak / 2**20:.2f} vs {columns_peak / 2**20:.2f} MiB"
 
 
 class TestComposeFilters:
@@ -518,6 +589,40 @@ class TestFactorSolveProperties:
         assert calls == []
         want, want_res = _dense_solve(g, fixed, solve_side, free_shape)
         assert solved.shape == free_shape
+        np.testing.assert_allclose(solved, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
+        assert abs(res - want_res) <= 1e-9 * max(1.0, np.linalg.norm(g))
+
+    def test_conv_system_is_built_once(self, monkeypatch):
+        # morph-chain's depth step, (32,48,5,5) -> (3:96)(3:32): the upper
+        # 3x3 solve builds its 1200x864 system once, for A^T b.  The other
+        # columns are _tall_gram's autocorrelation of the fixed factor, and
+        # the residual is a conv of its channels, which folds
+        calls = []
+        columns = tensor_ops._columns
+
+        def recording_columns(x, k, pad):
+            calls.append((x.shape, k, pad))
+            return columns(x, k, pad)
+
+        monkeypatch.setattr(tensor_ops, "_columns", recording_columns)
+        c_in, c_mid, c_out = 48, 96, 32
+        rng = make_rng(23)
+        g = rng.standard_normal((c_out, c_in, 5, 5))
+        fixed = rng.standard_normal((c_mid, c_in, 3, 3))
+        solved, res = lstsq_factor_step(g, fixed, "upper")
+        assert calls == [((c_in, c_mid, 3, 3), 3, 2), ((c_in, c_mid, 3, 3), 5, 2)]
+        # _dense_solve's naive compose is far too slow for 27,648 unknowns;
+        # every output channel solves one dense system, built here by
+        # placing the fixed factor at each offset of the free kernel
+        a = np.zeros((c_in, 5, 5, c_mid, 3, 3))
+        for u in range(3):
+            for v in range(3):
+                a[:, u : u + 3, v : v + 3, :, u, v] = fixed.transpose(1, 2, 3, 0)
+        a = a.reshape(c_in * 25, -1)
+        b = g.reshape(c_out, -1).T
+        want, *_ = np.linalg.lstsq(a, b, rcond=None)
+        want_res = float(np.linalg.norm(b - a @ want))
+        want = want.T.reshape(c_out, c_mid, 3, 3)
         np.testing.assert_allclose(solved, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
         assert abs(res - want_res) <= 1e-9 * max(1.0, np.linalg.norm(g))
 
