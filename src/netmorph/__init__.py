@@ -48,6 +48,6 @@ from .tensor_ops import (
     pad_filter,
 )
 from .train import Dataset, TrainConfig, evaluate, load_mnist_idx, predictions, train_sgd
-from .verify import OccupancyStats, PreservationReport, check_preservation, occupancy
+from .verify import PreservationReport, check_preservation, occupancy
 
 __version__ = "0.1.0"

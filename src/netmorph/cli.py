@@ -118,7 +118,7 @@ def cmd_morph(args):
         child, outcome = _depth_child(net, req, args.alg)
         occ = occupancy(np.concatenate([outcome.f_lo.ravel(), outcome.f_hi.ravel()]))
         print(f"op=depth layer={args.layer} residual={outcome.residual:.3e} shrunk_kernel={outcome.shrunk_kernel}")
-        print(f"occupancy={occ.fraction:.6f}")
+        print(f"occupancy={occ:.6f}")
     elif args.op == "width":
         if args.width is None:
             raise UsageError("width morph needs --width")

@@ -49,13 +49,13 @@ def _index(value, name: str, low=None) -> int:
 
 
 def _finite(value, name: str, low=None, strict=False) -> None:
-    """A ``ShapeError`` naming ``name`` unless ``value`` lies between -inf
-    and inf and, with ``low``, at or above ``low`` (above it, when
-    ``strict``).  An int too large for a float passes; a value that does
-    not compare (str, None, complex, a many-entry array) does not."""
+    """A ``ShapeError`` naming ``name`` unless ``value`` is a finite float,
+    or a number that converts to one, and, with ``low``, at or above
+    ``low`` (above it, when ``strict``).  An int too large for a float, a
+    str, None, a complex or an array of rank 1 or more does not pass."""
     try:
-        ok = -math.inf < value < math.inf and (low is None or (value > low if strict else value >= low))
-    except (TypeError, ValueError):
+        ok = math.isfinite(value) and (low is None or (value > low if strict else value >= low))
+    except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         bound = "" if low is None else f" {'>' if strict else '>='} {low}"

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InfeasibleMorphError, ShapeError, _finite, _index
 from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _conv_at, factor_chain, morph_practical
-from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer, pact_eval
+from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer
 from .rng import make_rng
 from .tensor_ops import _growth, as_filter, pad_filter
 
@@ -74,25 +74,17 @@ def _next_conv(layers, start):
     raise ShapeError("no downstream conv layer to absorb the widened channels")
 
 
-def _noise(rng, shape, like):
-    """Gaussian noise of ``shape`` with the spread of ``like``'s entries, or
-    1/sqrt(fan-in) when those entries are all equal."""
-    std = float(np.std(like))
-    if std == 0.0:
-        std = 1.0 / np.sqrt(like[0].size)
-    return rng.standard_normal(shape) * std
-
-
 def widen(net: NetworkDef, req: WidthMorphRequest) -> NetworkDef:
     """Widen the blob produced by conv layer ``layer_index`` to
     ``new_width`` channels, preserving the network function.
 
-    The new channels' incoming filter rows and outgoing filter columns are
-    two blocks appended to the parent's filters: one is zeros and the other
-    random noise.  The side with fewer parameters is zeroed, except that the
-    outgoing side is always zeroed when the activation in between does not
-    map zero to zero (otherwise preservation would break).  Finally the
-    widened channels are randomly permuted.
+    Every new channel takes Gaussian noise on its incoming filter rows (the
+    spread of the parent's rows, or 1/sqrt(fan-in) when those are all
+    equal), a zero bias and zeros on its outgoing filter columns.  The
+    zero columns keep the function exact whatever the activations in
+    between map zero to, and the noise gives every new channel a nonzero
+    output, so training moves its outgoing columns and, through them, its
+    incoming rows.  Finally the widened channels are randomly permuted.
     """
     layers = list(net.layers)
     i = req.layer_index
@@ -103,19 +95,12 @@ def widen(net: NetworkDef, req: WidthMorphRequest) -> NetworkDef:
         raise ShapeError(f"cannot shrink width {lo.c_out} to {req.new_width}")
     delta = req.new_width - lo.c_out
     rng = make_rng(req.seed)
-
-    act_zero = 0.0
-    for l in layers[i + 1 : j]:
-        act_zero = pact_eval(l.base, l.a, act_zero)
-    new_in, new_out = (delta, lo.c_in, lo.kernel, lo.kernel), (hi.c_out, delta, hi.kernel, hi.kernel)
-    if act_zero == 0.0 and lo.c_in * lo.kernel**2 <= hi.c_out * hi.kernel**2:  # zero the incoming side
-        new_in, new_out = np.zeros(new_in), _noise(rng, new_out, hi.weights)
-    else:
-        new_in, new_out = _noise(rng, new_in, lo.weights), np.zeros(new_out)
+    std = float(np.std(lo.weights)) or 1.0 / np.sqrt(lo.weights[0].size)
+    new_in = rng.standard_normal((delta, lo.c_in, lo.kernel, lo.kernel)) * std
     perm = rng.permutation(req.new_width)
     w_lo = np.concatenate([lo.weights, new_in])[perm]
     b_lo = np.concatenate([lo.bias, np.zeros(delta)])[perm]
-    w_hi = np.concatenate([hi.weights, new_out], axis=1)[:, perm]
+    w_hi = np.concatenate([hi.weights, np.zeros((hi.c_out, delta, hi.kernel, hi.kernel))], axis=1)[:, perm]
     layers[i] = replace(lo, weights=w_lo, bias=b_lo)
     layers[j] = replace(hi, weights=w_hi)
     return net.with_layers(layers)

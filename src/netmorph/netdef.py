@@ -57,7 +57,7 @@ BASES = ("relu", "tanh", "sigmoid")
 
 def _sigmoid(x):
     # tanh form of 1/(1+exp(-x)): exp(-x) would overflow for x < -709.
-    # The same operations in one buffer; a scalar (widen evaluates phi at 0) has none.
+    # The same operations in one buffer; a scalar (pact_eval of a 0-d input) has none.
     t = 0.5 * np.asarray(x)
     if not isinstance(t, np.ndarray):
         return 0.5 * (1.0 + np.tanh(t))

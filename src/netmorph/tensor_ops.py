@@ -130,18 +130,6 @@ def _spans(size: int, k: int, pad: int) -> tuple:
     return tuple(spans)
 
 
-@functools.cache
-def _windows(h: int, w: int, k: int, pad: int) -> tuple:
-    """The in-range part of each kernel offset (u, v) of a k x k conv at
-    ``pad`` on an h x w blob, as a tuple of (u, v, out, inp), each of out
-    and inp a (rows, columns) pair of slices: ``_spans`` of both axes.
-    Cached per shape: computing the slices took 0.6 us per offset, a fifth
-    of the column build of a 3x32x32 blob."""
-    return tuple(
-        (u, v, (oy, ox), (iy, ix)) for u, oy, iy in _spans(h, k, pad) for v, ox, ix in _spans(w, k, pad)
-    )
-
-
 def _columns(x, k: int, pad: int) -> np.ndarray:
     """Channel-major columns of the batch x: the (c*k*k, n*oh*ow) matrix of its
     zero-padded k x k windows, rows ordered like a filter's (c_in, k, k) axes.
@@ -157,8 +145,9 @@ def _columns(x, k: int, pad: int) -> np.ndarray:
     oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     cols = np.zeros((c, k, k, n, oh, ow))
     xt = x.transpose(1, 0, 2, 3)
-    for u, v, (oy, ox), (iy, ix) in _windows(h, w, k, pad):
-        cols[:, u, v, :, oy, ox] = xt[:, :, iy, ix]
+    for u, oy, iy in _spans(h, k, pad):
+        for v, ox, ix in _spans(w, k, pad):
+            cols[:, u, v, :, oy, ox] = xt[:, :, iy, ix]
     return cols.reshape(c * k * k, -1)
 
 
@@ -172,8 +161,9 @@ def _fold(x, f, pad: int) -> np.ndarray:
     rows = f.transpose(0, 2, 3, 1).reshape(c_out * k * k, c_in)
     prod = (rows @ x.transpose(1, 0, 2, 3).reshape(c_in, -1)).reshape(c_out, k, k, n, h, w)
     out = np.zeros((c_out, n, h + 2 * pad - k + 1, w + 2 * pad - k + 1))
-    for u, v, (oy, ox), (iy, ix) in _windows(h, w, k, pad):
-        out[:, :, oy, ox] += prod[:, u, v, :, iy, ix]
+    for u, oy, iy in _spans(h, k, pad):
+        for v, ox, ix in _spans(w, k, pad):
+            out[:, :, oy, ox] += prod[:, u, v, :, iy, ix]
     return out
 
 

@@ -86,16 +86,8 @@ def check_preservation(parent: NetworkDef, child: NetworkDef, n_samples: int, to
     )
 
 
-@dataclass(frozen=True)
-class OccupancyStats:
-    total: int
-    nonzero: int
-    fraction: float
-
-
-def occupancy(f) -> OccupancyStats:
-    """Fraction of filter entries that are structurally nonzero."""
+def occupancy(f) -> float:
+    """Fraction of filter entries that are structurally nonzero (0.0 for an
+    empty filter)."""
     f = np.asarray(f)
-    nonzero = int(np.count_nonzero(np.abs(f) > ZERO_THRESHOLD))
-    total = int(f.size)
-    return OccupancyStats(total=total, nonzero=nonzero, fraction=nonzero / total if total else 0.0)
+    return int(np.count_nonzero(np.abs(f) > ZERO_THRESHOLD)) / f.size if f.size else 0.0

@@ -369,7 +369,7 @@ class TestMorphVerify:
         occ = occupancy(np.concatenate([outcome.f_lo.reshape(-1), outcome.f_hi.reshape(-1)]).reshape(-1, 1, 1, 1))
         assert stdout.splitlines() == [
             f"op=depth layer=1 residual={outcome.residual:.3e} shrunk_kernel={outcome.shrunk_kernel}",
-            f"occupancy={occ.fraction:.6f}",
+            f"occupancy={occ:.6f}",
             f"written={child_file}",
         ]
         assert child_file.read_bytes() == serialize(insert_depth(parent, req, algorithm=alg))

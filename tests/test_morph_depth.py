@@ -62,7 +62,7 @@ class TestRequestValidation:
         with pytest.raises(ShapeError):
             DepthMorphRequest(layer_index=0, c_l=1, k1=1, k2=1, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), "1e-8", None])
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), "1e-8", None, pytest.param(10**400, id="huge-int")])
     def test_meaningless_tol_rejected(self, tol):
         with pytest.raises(ShapeError, match="tol must be a finite number > 0"):
             DepthMorphRequest(layer_index=0, c_l=1, k1=1, k2=1, tol=tol)

@@ -33,7 +33,7 @@ from netmorph import (
     widen,
 )
 from netmorph.morph_depth import factor_chain
-from netmorph.netdef import _convs
+from netmorph.netdef import BASES, _convs
 
 
 def _two_conv_net(seed=0, base="relu", c_mid=4, k=3, hw=8):
@@ -189,6 +189,47 @@ class TestWiden:
         )
         assert not check_preservation(parent, bad, n_samples=5, tol=1e-8).pass_
 
+    @staticmethod
+    def _new_units(parent, child):
+        """Indices of the child's channels whose incoming rows are not a parent row."""
+        old = parent.layers[0].weights
+        return [i for i, w in enumerate(child.layers[0].weights) if not any(np.array_equal(w, o) for o in old)]
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_new_units_take_noise_in_and_zeros_out(self, base):
+        parent = _two_conv_net(58, base=base)
+        child = widen(parent, WidthMorphRequest(layer_index=0, new_width=9, seed=4))
+        lo, _, hi = child.layers
+        new = self._new_units(parent, child)
+        assert len(new) == 5
+        for i in new:
+            assert np.abs(lo.weights[i]).max() > 0.0 and lo.bias[i] == 0.0
+            assert np.abs(hi.weights[:, i]).max() == 0.0
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_every_new_unit_learns(self, base):
+        # a relu at a = 0 passes no gradient to a unit whose incoming rows
+        # are zero, so widening must put its zeros on the outgoing side
+        rng = make_rng(59)
+        parent = NetworkDef(
+            input_shape=(4, 1, 1),
+            layers=[
+                same_pad_conv(rng.standard_normal((8, 4, 1, 1)), bias=rng.standard_normal(8)),
+                PActLayer(base=base, a=0.0),
+                same_pad_conv(rng.standard_normal((10, 8, 1, 1)), bias=rng.standard_normal(10)),
+            ],
+        )
+        x = rng.standard_normal((2000, 4, 1, 1))
+        labels = (x.reshape(2000, 4) @ rng.standard_normal((4, 10))).argmax(axis=1)
+        child = widen(parent, WidthMorphRequest(layer_index=0, new_width=16, seed=5))
+        trained, _ = train_sgd(child, Dataset(images=x, labels=labels), TrainConfig(epochs=1, a_learning_rate=0.0))
+        new = self._new_units(parent, child)
+        assert len(new) == 8
+        for i in new:
+            moved_in = np.abs(trained.layers[0].weights[i] - child.layers[0].weights[i]).max()
+            moved_out = np.abs(trained.layers[2].weights[:, i] - child.layers[2].weights[:, i]).max()
+            assert moved_in > 1e-6 and moved_out > 1e-6, f"unit {i}: incoming moved {moved_in:.1e}, outgoing {moved_out:.1e}"
+
     def test_inverse_permutation_recovers_unpermuted_child(self):
         parent = _two_conv_net(55)
         child = widen(parent, WidthMorphRequest(layer_index=0, new_width=7, seed=9))
@@ -324,7 +365,7 @@ class TestMorphSequential:
             morph_sequential(np.zeros((1, 1, 1, 1)), widths=[1, 1], kernels=[1, 1], seed=0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), "1e-8", None])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), "1e-8", None, pytest.param(10**400, id="huge-int")])
 def test_subnet_request_rejects_meaningless_tol(tol):
     with pytest.raises(ShapeError, match="tol must be a finite number > 0"):
         SubnetMorphRequest(0, [[(5, 8)], [(7, 8)]], [0.5, 0.5], tol=tol)
@@ -408,7 +449,7 @@ class TestMorphStacked:
             SubnetMorphRequest(layer_index=0, path_specs=[[(3, 4)]], split_weights=[0.9])
 
     @pytest.mark.parametrize(
-        "weights", [[np.nan], [np.inf, -np.inf], [0.5, np.nan], [0.6, 0.6], [None], [1j], ["1.0"], [0.5, "0.5"]]
+        "weights", [[np.nan], [np.inf, -np.inf], [0.5, np.nan], [0.6, 0.6], [None], [1j], ["1.0"], [0.5, "0.5"], [10**400]]
     )
     def test_non_finite_weights_rejected(self, weights):
         with pytest.raises(ShapeError, match="finite"):

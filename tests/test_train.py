@@ -419,6 +419,7 @@ class TestTrainConfig:
             {"momentum": float("nan")},
             {"momentum": float("inf")},
             {"momentum": float("-inf")},
+            pytest.param({"learning_rate": 10**400}, id="learning_rate=huge-int"),
             {"learning_rate": "1e-8"},
             {"learning_rate": None},
             {"momentum": "1e-8"},

@@ -117,7 +117,9 @@ class TestCheckPreservation:
         assert np.isnan(report.max_abs_dev) and not report.pass_
         assert "max_abs_dev=nan" in report.to_text() and "pass=false" in report.to_text()
 
-    @pytest.mark.parametrize("tol", [np.inf, -1.0, np.nan, "1e-8", None], ids=["inf", "negative", "nan", "string", "none"])
+    @pytest.mark.parametrize(
+        "tol", [np.inf, -1.0, np.nan, "1e-8", None, 10**400], ids=["inf", "negative", "nan", "string", "none", "huge-int"]
+    )
     def test_meaningless_tol_rejected(self, tol):
         # tol=inf used to pass two unrelated nets; -1 and nan failed every pair
         with pytest.raises(ShapeError, match="tol"):
@@ -356,14 +358,11 @@ class TestSharedHead:
 
 class TestOccupancy:
     def test_identity_filter_counts(self):
-        stats = occupancy(identity_filter(32, 3))
-        assert stats.nonzero == 32
-        assert stats.total == 32 * 32 * 9
-        assert stats.fraction == pytest.approx(32 / (32 * 32 * 9))
+        assert occupancy(identity_filter(32, 3)) == pytest.approx(32 / (32 * 32 * 9))
 
     def test_dense_filter(self):
         rng = make_rng(112)
-        assert occupancy(rng.standard_normal((2, 2, 3, 3))).fraction == 1.0
+        assert occupancy(rng.standard_normal((2, 2, 3, 3))) == 1.0
 
     def test_zero_filter(self):
-        assert occupancy(np.zeros((2, 2, 3, 3))).fraction == 0.0
+        assert occupancy(np.zeros((2, 2, 3, 3))) == 0.0
