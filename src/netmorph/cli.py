@@ -16,7 +16,9 @@ import numpy as np
 from .archparse import parse_arch, print_arch, build_network
 from .errors import ArchParseError, FormatError, InfeasibleMorphError, NetMorphError, ShapeError
 from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _depth_child
-from .morph_variants import SubnetMorphRequest, WidthMorphRequest, _check_split_weights, expand_kernel, morph_stacked, widen
+from .morph_variants import (
+    SubnetMorphRequest, WidthMorphRequest, _check_split_weights, _odd_kernel, expand_kernel, morph_stacked, widen,
+)
 from .netdef import BASES, ConvLayer, PActLayer, ParallelLayer
 from .serialize import load as load_net, save as save_net
 from .train import TrainConfig, evaluate, load_mnist_idx, train_sgd
@@ -106,36 +108,53 @@ def cmd_inspect(args):
     return EXIT_OK
 
 
+def _morph_request(args, raw):
+    """The request ``args`` make of conv ``raw``: a depth, width or subnet
+    request, or the new kernel size.  A value that no net could take (a
+    non-positive size, an even kernel) raises ``ShapeError`` here."""
+    if args.op == "depth":
+        if args.cl is None or args.k1 is None or args.k2 is None:
+            raise UsageError("depth morph needs --cl, --k1 and --k2")
+        return DepthMorphRequest(layer_index=raw, c_l=args.cl, k1=args.k1, k2=args.k2, seed=args.seed, tol=args.tol)
+    if args.op == "width":
+        if args.width is None:
+            raise UsageError("width morph needs --width")
+        return WidthMorphRequest(layer_index=raw, new_width=args.width, seed=args.seed)
+    if args.op == "ksize":
+        if args.kernel is None:
+            raise UsageError("ksize morph needs --kernel")
+        return _odd_kernel(args.kernel, "--kernel")
+    if not args.paths:
+        raise UsageError("subnet morph needs --paths")
+    specs, weights = _parse_paths(args.paths)
+    return SubnetMorphRequest(layer_index=raw, path_specs=specs, split_weights=weights, seed=args.seed, tol=args.tol)
+
+
 def cmd_morph(args):
     if not 0 < args.tol < math.inf:  # also rejects NaN
         raise UsageError(f"--tol must be a finite number > 0, got {args.tol}")
     net = load_net(args.input)
     raw = _conv_raw_index(net, args.layer)
+    # a value no net could take is a usage error (exit 2); a valid value
+    # that this net cannot take fails in the morph below (exit 3)
+    try:
+        req = _morph_request(args, raw)
+    except ShapeError as exc:
+        raise UsageError(str(exc)) from None
     if args.op == "depth":
-        if args.cl is None or args.k1 is None or args.k2 is None:
-            raise UsageError("depth morph needs --cl, --k1 and --k2")
-        req = DepthMorphRequest(layer_index=raw, c_l=args.cl, k1=args.k1, k2=args.k2, seed=args.seed, tol=args.tol)
         child, outcome = _depth_child(net, req, args.alg)
         occ = occupancy(np.concatenate([outcome.f_lo.ravel(), outcome.f_hi.ravel()]))
         print(f"op=depth layer={args.layer} residual={outcome.residual:.3e} shrunk_kernel={outcome.shrunk_kernel}")
         print(f"occupancy={occ:.6f}")
     elif args.op == "width":
-        if args.width is None:
-            raise UsageError("width morph needs --width")
-        child = widen(net, WidthMorphRequest(layer_index=raw, new_width=args.width, seed=args.seed))
+        child = widen(net, req)
         print(f"op=width layer={args.layer} new_width={args.width}")
     elif args.op == "ksize":
-        if args.kernel is None:
-            raise UsageError("ksize morph needs --kernel")
-        child = expand_kernel(net, raw, args.kernel)
+        child = expand_kernel(net, raw, req)
         print(f"op=ksize layer={args.layer} new_kernel={args.kernel}")
     else:
-        if not args.paths:
-            raise UsageError("subnet morph needs --paths")
-        specs, weights = _parse_paths(args.paths)
-        req = SubnetMorphRequest(layer_index=raw, path_specs=specs, split_weights=weights, seed=args.seed, tol=args.tol)
         child = morph_stacked(net, req)
-        print(f"op=subnet layer={args.layer} paths={len(specs)}")
+        print(f"op=subnet layer={args.layer} paths={len(req.path_specs)}")
     save_net(child, args.output)
     print(f"written={args.output}")
     return EXIT_OK

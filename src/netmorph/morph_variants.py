@@ -24,7 +24,7 @@ class WidthMorphRequest:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("layer_index", None), ("new_width", None), ("seed", 0)):
+        for name, low in (("layer_index", None), ("new_width", 1), ("seed", 0)):
             _index(getattr(self, name), name, low=low)
 
 
@@ -110,15 +110,21 @@ def widen(net: NetworkDef, req: WidthMorphRequest) -> NetworkDef:
 # kernel-size morphing
 
 
+def _odd_kernel(value, name: str) -> int:
+    """``value`` as an odd kernel size >= 1, else a ``ShapeError``."""
+    k = _index(value, name, low=1)
+    if k % 2 == 0:
+        raise ShapeError(f"kernel size must be odd, got {k}")
+    return k
+
+
 def expand_kernel(net: NetworkDef, layer_index: int, new_kernel: int) -> NetworkDef:
     """Grow a conv layer's kernel by a centered ring of zeros and its pad by
     the ring's width (``factor_chain`` of one factor).  Exact everywhere,
     including image borders."""
     layers = list(net.layers)
     target = _conv_at(layers, layer_index)
-    if _index(new_kernel, "new_kernel") % 2 == 0:
-        raise ShapeError(f"kernel size must be odd, got {new_kernel}")
-    w = pad_filter(target.weights, new_kernel)
+    w = pad_filter(target.weights, _odd_kernel(new_kernel, "new_kernel"))
     layers[layer_index : layer_index + 1] = factor_chain(layers, layer_index, [w], target.bias)
     return net.with_layers(layers)
 

@@ -41,6 +41,7 @@ caches at once.  A conv adds its bias in place, into the new array
 memory with its input, so its caller owns what it gets back.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -318,27 +319,37 @@ def _convs(layers, depth=0):
 
 def _chain_shape(layers, shape, limit):
     """Walk the layer chain from a blob of ``shape`` (c, h, w), checking
-    channels and spatial sizes; return the output shape.  No blob may be
-    empty, or higher or wider than ``limit`` (h_max, w_max)."""
+    channels and spatial sizes; return the output shape and the values in
+    the largest array a forward pass builds per item.  That array is a
+    layer's output blob or a conv's columns, c_in*k*k*oh*ow values, unless
+    the conv is 1x1 at pad 0, whose columns are its input reshaped.  No
+    blob may be empty, or higher or wider than ``limit`` (h_max, w_max)."""
     c, h, w = shape
+    peak = 0
     for i, layer in enumerate(layers):
         if isinstance(layer, ConvLayer):
             if layer.c_in != c:
                 raise ShapeError(f"layer {i}: expects {layer.c_in} input channels, gets {c}")
             growth = 2 * layer.pad - layer.kernel + 1
-            c, h, w = layer.c_out, h + growth, w + growth
+            h, w = h + growth, w + growth
             if h < 1 or w < 1:
                 raise ShapeError(f"layer {i}: non-positive output size {h}x{w} for kernel {layer.kernel}, pad {layer.pad}")
             if h > limit[0] or w > limit[1]:
                 raise ShapeError(f"layer {i}: pad {layer.pad} grows a blob to {h}x{w}, past {limit[0]}x{limit[1]}")
+            if layer.kernel > 1 or layer.pad > 0:
+                peak = max(peak, c * layer.kernel**2 * h * w)
+            c = layer.c_out
         elif isinstance(layer, ParallelLayer):
-            outs = {_chain_shape(path, (c, h, w), limit) for path in layer.paths}
+            walks = [_chain_shape(path, (c, h, w), limit) for path in layer.paths]
+            outs = {out for out, _ in walks}
             if len(outs) != 1:
                 raise ShapeError(f"layer {i}: parallel paths disagree on output shape {sorted(outs)}")
             c, h, w = outs.pop()
+            peak = max([peak] + [p for _, p in walks])
         elif not isinstance(layer, PActLayer):
             raise ShapeError(f"layer {i}: unknown layer type {type(layer).__name__}")
-    return c, h, w
+        peak = max(peak, c * h * w)
+    return (c, h, w), peak
 
 
 @dataclass(frozen=True)
@@ -346,9 +357,12 @@ class NetworkDef:
     """A chain of layers over blobs of ``input_shape`` (c, h, w).
 
     Construction walks the chain and keeps its output shape as
-    ``_output_shape``.  A conv may pad more or less than same-padding, but
-    no blob may grow past the input by more than the sum of k - 1 over the
-    net's convs, which bounds every morph child of a same-padded net.
+    ``_output_shape`` and the bytes of the largest array a forward pass
+    builds per item as ``_item_bytes``, at least one output blob
+    (``forward_batch`` copies the input of a net without layers).  A conv
+    may pad more or less than same-padding, but no blob may grow past the
+    input by more than the sum of k - 1 over the net's convs, which bounds
+    every morph child of a same-padded net.
     """
 
     input_shape: tuple  # (c, h, w)
@@ -360,10 +374,11 @@ class NetworkDef:
             raise ShapeError(f"input shape must be (c, h, w) positive, got {self.input_shape}")
         layers = tuple(self.layers)
         growth = sum(layer.kernel - 1 for layer in _convs(layers))
-        out = _chain_shape(layers, shape, (shape[1] + growth, shape[2] + growth))
+        out, peak = _chain_shape(layers, shape, (shape[1] + growth, shape[2] + growth))
         object.__setattr__(self, "input_shape", shape)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "_output_shape", out)
+        object.__setattr__(self, "_item_bytes", 8 * max(peak, math.prod(out)))
 
     def conv_indices(self):
         """Raw indices of top-level conv layers, in order."""

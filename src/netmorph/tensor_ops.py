@@ -192,13 +192,14 @@ def _row_fold(x, f, pad: int) -> np.ndarray:
     range adds nothing."""
     n, c_in, h, w = x.shape
     c_out, k = f.shape[0], f.shape[2]
-    oh, run = h + 2 * pad - k + 1, n * (w + 2 * pad - k + 1)
+    oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    run = n * ow
     rows = f.transpose(2, 0, 1, 3).reshape(k * c_out, c_in * k)
     prod = (rows @ _lowered(x, k, pad)).reshape(k, c_out, -1)
     out = np.zeros((c_out, oh * run))
     for u, oy, iy in _spans(h, k, pad):
         out[:, oy.start * run : oy.stop * run] += prod[u, :, iy.start * run : iy.stop * run]
-    return out.reshape(c_out, oh, n, -1)
+    return out.reshape(c_out, oh, n, ow)
 
 
 def conv_batch(x, f, pad: int) -> np.ndarray:

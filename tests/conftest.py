@@ -2,6 +2,7 @@
 network generators used across the suite."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,18 @@ def naive_compose(f_lo, f_hi):
                                     f_hi[co, cm, u1, u2] * f_lo[cm, ci, v1, v2]
                                 )
     return out
+
+
+def traced_peak(run):
+    """Peak bytes ``tracemalloc`` traces while ``run()`` runs, after one
+    untraced warm-up call (lazy imports and allocator pools)."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_net(seed, n_layers=None, base="relu", input_hw=16, max_channels=16):

@@ -178,13 +178,34 @@ class TestMorphVerify:
         code, *_ = run(capsys, "verify", "-a", str(parent_file), "-b", str(child))
         assert code == EXIT_OK
 
-    def test_ksize_morph_even_kernel_exits_3(self, parent_file, tmp_path, capsys):
-        code, _, stderr = run(
-            capsys, "morph", "-i", str(parent_file), "-o", str(tmp_path / "k.nmph"),
-            "--op", "ksize", "--layer", "0", "--kernel", "4",
-        )
-        assert code == EXIT_INFEASIBLE
-        assert "error=" in stderr
+    @pytest.mark.parametrize(
+        "op_args, code",
+        [
+            (("--op", "depth", "--cl", "0", "--k1", "3", "--k2", "1"), EXIT_USAGE),
+            (("--op", "depth", "--cl", "4", "--k1", "0", "--k2", "1"), EXIT_USAGE),
+            (("--op", "depth", "--cl", "4", "--k1", "2", "--k2", "1"), EXIT_USAGE),
+            (("--op", "ksize", "--kernel", "4"), EXIT_USAGE),
+            (("--op", "ksize", "--kernel", "-1"), EXIT_USAGE),
+            (("--op", "width", "--width", "0"), EXIT_USAGE),
+            (("--op", "width", "--width", "-3"), EXIT_USAGE),
+            (("--op", "width", "--width", "2"), EXIT_INFEASIBLE),
+            (("--op", "ksize", "--kernel", "1"), EXIT_INFEASIBLE),
+        ],
+        ids=[
+            "depth-cl-0", "depth-k1-0", "depth-k1-2", "ksize-kernel-4", "ksize-kernel--1",
+            "width-0", "width--3", "width-2", "ksize-kernel-1",
+        ],
+    )
+    def test_morph_value_exit_code(self, op_args, code, tmp_path, capsys):
+        # a value no net could take (a non-positive size, an even kernel) is
+        # a usage error; shrinking this (3:4) conv's width or 3x3 kernel is
+        # a valid value that this net cannot take
+        parent, out = tmp_path / "p.nmph", tmp_path / "x.nmph"
+        run(capsys, "parse", "--arch", "(3:4)(3:4)", "--input-shape", "3,8,8", "-o", str(parent))
+        got, stdout, stderr = run(capsys, "morph", "-i", str(parent), "-o", str(out), "--layer", "0", *op_args)
+        assert got == code
+        assert stdout == "" and stderr.startswith("error=") and "Traceback" not in stderr
+        assert not out.exists()
 
     def test_ksize_morph_verifies(self, parent_file, tmp_path, capsys):
         child = tmp_path / "k.nmph"

@@ -1,7 +1,5 @@
 """Depth morphing: factorization solvers, rebalancing, layer insertion."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -30,6 +28,7 @@ from netmorph import (
 )
 from netmorph import morph_depth, tensor_ops
 
+from conftest import traced_peak
 from test_verify import _net as verify_net
 
 
@@ -310,13 +309,7 @@ class TestMorphPractical:
         # allocate the factor, for a 17.9 MiB peak
         g = make_rng(40).standard_normal((32, 48, 5, 5))
         req = DepthMorphRequest(layer_index=0, c_l=96, k1=3, k2=3, seed=0)
-        morph_practical(g, req)  # warm-up: lazy imports and allocator pools
-        tracemalloc.start()
-        try:
-            morph_practical(g, req)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: morph_practical(g, req))
         assert peak <= 15 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 

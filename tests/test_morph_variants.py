@@ -114,6 +114,24 @@ def test_negative_seed_rejected_when_the_request_is_built(build):
         build()
 
 
+# Values that no net could take, a size below 1 or an even kernel, beyond
+# those that test_morph_depth.py::TestRequestValidation and TestExpandKernel try.
+VALUES_NO_NET_TAKES = {
+    "width-0": lambda: WidthMorphRequest(0, 0),
+    "width-negative": lambda: WidthMorphRequest(0, -3),
+    "depth-k1-0": lambda: DepthMorphRequest(0, 2, 0, 1),
+    "depth-k2-even": lambda: DepthMorphRequest(0, 2, 3, 4),
+    "expand_kernel-negative": lambda: expand_kernel(_four_channel_net(), 0, -1),
+    "sequential-even": lambda: morph_sequential(np.ones((4, 2, 3, 3)), [2], [3, 2]),
+}
+
+
+@pytest.mark.parametrize("build", VALUES_NO_NET_TAKES.values(), ids=VALUES_NO_NET_TAKES.keys())
+def test_value_no_net_takes_rejected(build):
+    with pytest.raises(ShapeError, match="must be an integer >= 1|must be odd"):
+        build()
+
+
 def test_numpy_integer_sizes_accepted():
     net, i64 = _four_channel_net(), np.int64
     assert widen(net, WidthMorphRequest(i64(0), i64(6), seed=i64(1))).layers[0].c_out == 6

@@ -150,6 +150,41 @@ class TestLayers:
         assert net._output_shape == (3, side, side)
         assert forward(net, np.ones((1, 5, 5))).shape == (3, side, side)
 
+    @pytest.mark.parametrize(
+        "layers, shape, values",
+        [
+            # the paper's parent: the 32->32 and 32->64 5x5 convs' columns
+            ("(5:32)(5:32)(5:64)", (3, 32, 32), 32 * 25 * 32 * 32),
+            ("(3:16)(3:16)", (3, 16, 16), 16 * 9 * 16 * 16),
+            # mnist-train's child: a 1x1 conv at pad 0 builds no columns, so
+            # its 50-channel output blob is the largest array
+            ("(1:50)(1:10)", (784, 1, 1), 50),
+            # a 1x1 conv at pad 1 builds columns of its grown blob (the
+            # 5x5 conv at pad 0 lets the blob grow)
+            (
+                [
+                    ConvLayer(weights=np.zeros((1, 2, 1, 1)), bias=np.zeros(1), pad=1),
+                    ConvLayer(weights=np.zeros((1, 1, 5, 5)), bias=np.zeros(1), pad=0),
+                ],
+                (2, 3, 3),
+                2 * 5 * 5,
+            ),
+            # a stack: the largest array on any of its paths
+            (
+                [ParallelLayer(paths=((same_pad_conv(np.zeros((2, 2, 1, 1))),), (same_pad_conv(np.zeros((2, 2, 3, 3))),)))],
+                (2, 4, 4),
+                2 * 9 * 16,
+            ),
+            # no layers: forward_batch copies the input blob
+            ([], (3, 4, 5), 60),
+        ],
+        ids=["paper-parent", "3x3-pair", "mnist-child", "1x1-pad1", "stack", "no-layers"],
+    )
+    def test_item_bytes_is_the_largest_array_per_item(self, layers, shape, values):
+        if isinstance(layers, str):
+            layers = build_network(parse_arch(layers), shape).layers
+        assert NetworkDef(input_shape=shape, layers=layers)._item_bytes == 8 * values
+
     def test_bias_length_checked(self):
         with pytest.raises(ShapeError):
             same_pad_conv(np.zeros((2, 1, 1, 1)), bias=np.zeros(3))

@@ -1,7 +1,5 @@
 """Numerical-kernel tests against brute-force reference implementations."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +26,7 @@ from netmorph.tensor_ops import (
     conv_input_grad,
 )
 
-from conftest import naive_compose, naive_conv
+from conftest import naive_compose, naive_conv, traced_peak
 
 
 def _route_channels(route, c, extra, k):
@@ -90,14 +88,15 @@ class TestConvMC:
         st.integers(0, 2),
         st.sampled_from([1, 3, 5]),
         st.data(),
-        st.integers(2, 3),
+        st.sampled_from([0, 2, 3]),
         st.integers(1, 5),
         st.integers(1, 5),
         st.integers(0, 2**16),
     )
     def test_any_pad_and_size_matches_naive(self, route, c, extra, k, data, n, h, w, seed):
         # windows clipped on both sides: negative pads (a crop), pads beyond
-        # k-1 and images smaller than the kernel, on every route of conv_batch
+        # k-1 and images smaller than the kernel, on every route of conv_batch;
+        # an empty batch too
         pad = data.draw(st.integers(-2, k + 1))
         assume(min(h, w) + 2 * pad >= k)
         c_out, c_in = _route_channels(route, c, extra, k)
@@ -105,6 +104,7 @@ class TestConvMC:
         x = rng.standard_normal((n, c_in, h, w))
         f = rng.standard_normal((c_out, c_in, k, k))
         got = conv_batch(x, f, pad)
+        assert got.shape == (n, c_out, h + 2 * pad - k + 1, w + 2 * pad - k + 1)
         crop = max(-pad, 0)
         for i in range(n):
             cropped = x[i][:, crop : h - crop, crop : w - crop]
@@ -160,7 +160,7 @@ class TestConvRoutes:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(1, 3),
+        st.integers(0, 3),
         st.sampled_from([3, 5, 7]),
         st.integers(1, 4),
         st.integers(0, 3),
@@ -169,7 +169,8 @@ class TestConvRoutes:
     )
     def test_row_fold_matches_naive(self, n, k, c, extra, data, seed):
         # pads from -(k-1), a crop as conv_input_grad takes, to k+1, and
-        # channel ratios inside the row-fold band, narrowing and widening
+        # channel ratios inside the row-fold band, narrowing and widening;
+        # an empty batch too
         pad = data.draw(st.integers(-(k - 1), k + 1))
         h, w = (max(1, k - 2 * pad) + data.draw(st.integers(0, 2)) for _ in range(2))
         c_out, c_in = _route_channels("row-fold", c, extra, k)
@@ -177,6 +178,7 @@ class TestConvRoutes:
         x = rng.standard_normal((n, c_in, h, w))
         f = rng.standard_normal((c_out, c_in, k, k))
         got = tensor_ops._row_fold(x, f, pad).transpose(2, 0, 1, 3)
+        assert got.shape == (n, c_out, h + 2 * pad - k + 1, w + 2 * pad - k + 1)
         crop = max(-pad, 0)
         for i in range(n):
             cropped = x[i][:, crop : h - crop, crop : w - crop]
@@ -226,6 +228,14 @@ class TestConvRoutes:
         assert calls == {"fold": [], "row-fold": ["_lowered"], "columns": ["_columns"]}[route]
 
     @pytest.mark.parametrize("route, k", [("fold", 3), ("row-fold", 5), ("columns", 5), ("columns", 1)])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_empty_batch(self, route, k, pad):
+        c_out, c_in = _route_channels(route, 2, 1, k)
+        f = make_rng(14).standard_normal((c_out, c_in, k, k))
+        got = conv_batch(np.zeros((0, c_in, 8, 7)), f, pad)
+        assert got.shape == (0, c_out, 9 + 2 * pad - k, 8 + 2 * pad - k)
+
+    @pytest.mark.parametrize("route, k", [("fold", 3), ("row-fold", 5), ("columns", 5), ("columns", 1)])
     def test_output_is_a_fresh_array(self, route, k):
         # ConvLayer.forward adds its bias into conv_batch's output in place
         c_out, c_in = _route_channels(route, 2, 1, k)
@@ -239,24 +249,14 @@ class TestConvRoutes:
         y += 1.0
         assert np.array_equal(x, x0) and np.array_equal(f, f0)
 
-    @staticmethod
-    def _traced_peak(run):
-        run()  # warm-up: allocator pools
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_fold_peak_memory_below_columns(self):
         # morph-chain's (3:96)->(3:32) conv on a 96x34x34 blob: the fold's
         # product holds 32*9 planes (2.7 MB), the columns 96*9 (8.0 MB)
         rng = make_rng(11)
         x = rng.standard_normal((1, 96, 34, 34))
         f = rng.standard_normal((32, 96, 3, 3))
-        fold_peak = self._traced_peak(lambda: conv_batch(x, f, 1))
-        columns_peak = self._traced_peak(lambda: f.reshape(32, -1) @ _columns(x, 3, 1))
+        fold_peak = traced_peak(lambda: conv_batch(x, f, 1))
+        columns_peak = traced_peak(lambda: f.reshape(32, -1) @ _columns(x, 3, 1))
         assert fold_peak < columns_peak, f"{fold_peak / 2**20:.2f} vs {columns_peak / 2**20:.2f} MiB"
 
     def test_row_fold_peak_memory_below_columns(self):
@@ -266,8 +266,8 @@ class TestConvRoutes:
         rng = make_rng(13)
         x = rng.standard_normal((1, 48, 32, 32))
         f = rng.standard_normal((32, 48, 5, 5))
-        row_fold_peak = self._traced_peak(lambda: conv_batch(x, f, 2))
-        columns_peak = self._traced_peak(lambda: f.reshape(32, -1) @ _columns(x, 5, 2))
+        row_fold_peak = traced_peak(lambda: conv_batch(x, f, 2))
+        columns_peak = traced_peak(lambda: f.reshape(32, -1) @ _columns(x, 5, 2))
         assert row_fold_peak < columns_peak, f"{row_fold_peak / 2**20:.2f} vs {columns_peak / 2**20:.2f} MiB"
 
 

@@ -21,6 +21,7 @@ from netmorph import (
     check_preservation,
     deserialize,
     evaluate,
+    forward,
     insert_depth,
     load_mnist_idx,
     make_rng,
@@ -31,8 +32,10 @@ from netmorph import (
     serialize,
     train_sgd,
 )
-from netmorph import netdef, tensor_ops
+from netmorph import netdef, tensor_ops, train
 from netmorph.train import _TrainState, forward_batch
+
+from conftest import traced_peak
 
 
 # An images header that declares 2**31-1 items of (2**31-1)**2 pixels, and no pixels.
@@ -586,8 +589,6 @@ class TestEvaluate:
         net = make_net(10)
         rng = make_rng(11)
         x = rng.standard_normal((5,) + net.input_shape)
-        from netmorph import forward
-
         batched = forward_batch(net, x)
         for i in range(5):
             np.testing.assert_allclose(batched[i], forward(net, x[i]), atol=1e-12)
@@ -595,3 +596,84 @@ class TestEvaluate:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             Dataset(images=np.zeros((3, 1, 2, 2)), labels=np.zeros(2, dtype=int))
+
+
+class TestPredictions:
+    """``predictions`` runs one forward pass per chunk of items; a chunk
+    holds as many items as fit ``train._CHUNK_BYTES`` at the net's
+    ``_item_bytes`` each, and at least one."""
+
+    @staticmethod
+    def _forward_calls(monkeypatch):
+        """The batch size of every ``forward_batch`` call ``predictions`` makes."""
+        calls = []
+
+        def spy(net, x):
+            calls.append(len(x))
+            return forward_batch(net, x)
+
+        monkeypatch.setattr(train, "forward_batch", spy)
+        return calls
+
+    @pytest.mark.parametrize("make_net", [micro_net, spatial_net], ids=["classic", "conv"])
+    @pytest.mark.parametrize("budget_items, chunk", [(0.5, 1), (4.5, 4)], ids=["chunk1", "chunk4"])
+    @pytest.mark.parametrize(
+        "chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 2)],
+        ids=["0", "1", "chunk-1", "chunk", "chunk+1", "3chunk+2"],
+    )
+    def test_chunks_match_single_items(self, make_net, budget_items, chunk, chunks, extra, monkeypatch):
+        net = make_net(20)
+        n = chunks * chunk + extra
+        monkeypatch.setattr(train, "_CHUNK_BYTES", int(budget_items * net._item_bytes))
+        calls = self._forward_calls(monkeypatch)
+        x = make_rng(21).standard_normal((n,) + net.input_shape)
+        got = predictions(net, Dataset(images=x, labels=np.zeros(n, dtype=np.int64)))
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(forward(net, x[i]).argmax()) for i in range(n)]
+        assert calls == [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
+
+    def test_mnist_test_set_is_one_forward_call(self, monkeypatch):
+        # mnist-train's 784->50->10 child: 400 bytes per item (the 50-channel
+        # blob), so its 10,000 test items fit one chunk
+        rng = make_rng(22)
+        net = NetworkDef(
+            input_shape=(784, 1, 1),
+            layers=[
+                same_pad_conv(rng.standard_normal((50, 784, 1, 1)) * 0.03, fc=True),
+                PActLayer(base="relu", a=1.0),
+                same_pad_conv(rng.standard_normal((10, 50, 1, 1)), fc=True),
+            ],
+        )
+        calls = self._forward_calls(monkeypatch)
+        ds = Dataset(images=rng.random((10_000, 1, 28, 28)), labels=np.zeros(10_000, dtype=np.int64))
+        assert predictions(net, ds).shape == (10_000,)
+        assert calls == [10_000]
+        assert net._item_bytes == 400
+
+    def test_peak_memory_follows_the_budget(self, monkeypatch):
+        # 600 items through (3:16)(3:16) at 3x16x16 and a 2 MiB budget:
+        # chunks of 7 items at 288 KiB each (the 16->16 conv's columns).
+        # 256-item chunks peaked at 72 MiB
+        budget = 2 * 2**20
+        monkeypatch.setattr(train, "_CHUNK_BYTES", budget, raising=False)
+        net = build_network(parse_arch("(3:16)(3:16)"), (3, 16, 16))
+        ds = Dataset(images=make_rng(23).random((600, 3, 16, 16)), labels=np.zeros(600, dtype=np.int64))
+        peak = traced_peak(lambda: predictions(net, ds))
+        assert peak < 2 * budget, f"{peak / 2**20:.2f} MiB"
+
+    def test_empty_dataset_predicts_nothing(self):
+        net = spatial_net(24)
+        got = predictions(net, Dataset(images=np.zeros((0,) + net.input_shape), labels=np.zeros(0, dtype=np.int64)))
+        assert got.shape == (0,) and got.dtype == np.int64
+
+    def test_empty_batch_through_a_row_folded_conv(self):
+        net = build_network(parse_arch("(3:4)(3:4)"), (3, 8, 8))
+        assert forward_batch(net, np.zeros((0, 3, 8, 8))).shape == (0, 4, 8, 8)
+
+    @pytest.mark.parametrize(
+        "run", [evaluate, lambda net, ds: train_sgd(net, ds, TrainConfig(epochs=1))], ids=["evaluate", "train_sgd"]
+    )
+    def test_empty_dataset_rejected(self, run):
+        net = micro_net(25)
+        with pytest.raises(ShapeError, match="empty"):
+            run(net, Dataset(images=np.zeros((0, 4, 1, 1)), labels=np.zeros(0, dtype=np.int64)))
