@@ -1,8 +1,10 @@
 """Command-line surface: parse, inspect, morph, verify, train, eval.
 
 Exit codes: 0 success (or verification pass), 1 verification failure,
-2 usage or I/O error, 3 infeasible morph (``morph`` only).  All output is
-line-oriented key=value text so it can be asserted on without a parser.
+2 usage or I/O error, 3 infeasible morph (``morph`` only).  A request too
+large to allocate exits like a shape error: 3 from ``morph``, 2 otherwise.
+All output is line-oriented key=value text so it can be asserted on
+without a parser.
 """
 
 import argparse
@@ -283,7 +285,7 @@ def main(argv=None):
     except (ArchParseError, FormatError, UsageError, OSError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfeasibleMorphError, ShapeError) as exc:
+    except (InfeasibleMorphError, ShapeError, MemoryError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return EXIT_INFEASIBLE if args.command == "morph" else EXIT_USAGE
 

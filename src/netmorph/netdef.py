@@ -26,7 +26,14 @@ gradient at the output to a gradient dict keyed like p and, when
 ``need_dx`` is true, the gradient at the input (None otherwise).
 ``forward_pass`` runs a layer list through it; ``forward_batch`` runs a
 whole net on a batch (``forward`` is its one-blob case), and the trainer
-and the verification oracle call ``forward_pass`` directly.  The trainer
+and the verification oracle call ``forward_pass`` directly.  A layer's
+cache is its input (a ``ParallelLayer``'s, its paths' caches), so
+``forward_pass`` keeps the caches only for a caller that passes a list to
+fill: the trainer, which backpropagates through them, and a
+``ParallelLayer``, whose cache they are.  Inference keeps none, so each
+layer's input is freed once the layer has run, unless its caller holds
+it: kept as caches, those inputs raised the peak memory of the
+preservation check.  The trainer
 calls ``backward_pass`` with ``need_dx=False``, because nothing reads the
 gradient at the network input: the first layer does not compute it, and a
 first-layer ``ParallelLayer`` passes that on to the first layer of each
@@ -244,9 +251,8 @@ class ParallelLayer:
     def forward(self, x, p):
         total, caches = 0.0, []
         for path, ps in zip(self.paths, self._path_params(p)):
-            out, cache = forward_pass(path, ps, x)
-            total = total + out
-            caches.append(cache)
+            caches.append([])
+            total = total + forward_pass(path, ps, x, caches[-1])
         return total, caches
 
     def backward(self, caches, dy, p, need_dx=True):
@@ -259,14 +265,21 @@ class ParallelLayer:
         return dx, grads
 
 
-def forward_pass(layers, params, x):
-    """Run ``layers`` with parameters ``params[i]`` on the batch x (n, c, h, w);
-    returns the output and the per-layer caches ``backward_pass`` needs."""
-    caches = []
+def forward_pass(layers, params, x, caches=None):
+    """Run ``layers`` with parameters ``params[i]`` on the batch x (n, c, h, w)
+    and return the output.
+
+    Given a list ``caches``, append to it the per-layer caches
+    ``backward_pass`` needs.  Without one no cache is kept, and each layer's
+    input is dropped as soon as the layer has run.
+    """
     for layer, p in zip(layers, params):
-        x, cache = layer.forward(x, p)
-        caches.append(cache)
-    return x, caches
+        if caches is None:
+            x = layer.forward(x, p)[0]
+        else:
+            x, cache = layer.forward(x, p)
+            caches.append(cache)
+    return x
 
 
 def backward_pass(layers, params, caches, dy, need_dx=True):
@@ -393,7 +406,7 @@ def forward_batch(net: NetworkDef, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ShapeError(f"batch item shape {x.shape[1:]} does not match network input {net.input_shape}")
-    out = forward_pass(net.layers, [l.params() for l in net.layers], x)[0]
+    out = forward_pass(net.layers, [l.params() for l in net.layers], x)
     # a net of identity activations (or none) hands back the caller's array
     return out.copy() if np.may_share_memory(out, x) else out
 

@@ -288,11 +288,14 @@ def _growth(k: int, k_target: int) -> int:
 
 
 def pad_filter(g, k_target: int) -> np.ndarray:
-    """Zero-pad a filter's kernel to ``k_target`` symmetrically."""
+    """Zero-pad a filter's kernel to ``k_target`` symmetrically.  A padded
+    filter of more bytes than numpy can index raises ShapeError."""
     g = as_filter(g)
     m = _growth(g.shape[2], _index(k_target, "k_target"))
     if m == 0:
         return g.copy()
+    if g.shape[0] * g.shape[1] * k_target**2 * g.itemsize > np.iinfo(np.intp).max:
+        raise ShapeError(f"a {k_target}x{k_target} kernel of {g.shape[0]}x{g.shape[1]} channels is too large to index")
     return np.pad(g, ((0, 0), (0, 0), (m, m), (m, m)))
 
 
@@ -375,13 +378,15 @@ def _gram_solve(system, b, rcond, tall_gram):
     smaller Gram matrix when ``_well_conditioned`` says so (see
     ``lstsq_factor_step``), else by lstsq on A with cutoff ``rcond``.  A
     tall system's A^T A comes from ``tall_gram()``, a wide one's A A^T from
-    A.  The Gram matrix is factorized in place by ``_cholesky`` and solved
-    by two block substitutions; should that unshifted factorization fail
-    after the shifted one passed, lstsq solves.  A is dropped before the
-    Gram matrix is built, and built again only when lstsq or a wide
-    system's x = A^T y needs it: held, conv columns raised morph-chain's
-    peak memory from 62.7 to 68 MiB.  The caller takes the residual
-    without A.
+    A.  ``_well_conditioned`` tests the Gram matrix inside its own upper
+    triangle, so no second n x n array is made; the matrix is then
+    factorized in place by ``_cholesky`` and solved by two block
+    substitutions, which read only its lower triangle.  Should that
+    unshifted factorization fail after the shifted one passed, lstsq
+    solves.  A is dropped before the Gram matrix is built, and built again
+    only when lstsq or a wide system's x = A^T y needs it: held, conv
+    columns raised morph-chain's peak memory from 62.7 to 68 MiB.  The
+    caller takes the residual without A.
     """
     a = system()
     tall = a.shape[0] >= a.shape[1]
@@ -475,8 +480,19 @@ def _well_conditioned(gram) -> bool:
     mu = max(Rayleigh quotient after 30 power-iteration steps from the
     uniform vector, largest diagonal entry); both are lower bounds, so mu <=
     lambda_max (0.98 and 0.998 of it on morph-chain's 864x864 and 800x800
-    systems).  ``_cholesky`` runs on one shifted copy, and ``gram`` is left
-    as it was.
+    systems).
+
+    The test holds no second n x n array: ``_cholesky`` factorizes the
+    shifted matrix inside ``gram``, in the upper triangle, which neither
+    ``_cholesky`` nor ``_cholesky_solve`` reads when they solve.  gram's
+    diagonal blocks are saved, its lower triangle is mirrored into the
+    upper one (each diagonal block transposed), and ``_cholesky(gram.T)``
+    then sees the values a shifted copy of gram would hold.  The upper
+    triangle is mirrored again and the diagonal blocks put back, so gram's
+    lower triangle and diagonal blocks come back as they were, and the
+    upper triangle outside those blocks as the transpose of the lower.  A
+    shifted copy, 5.7 MiB at 864x864, raised the traced peak of
+    morph-chain's depth step from 11.57 to 12.57 MiB.
     """
     n = gram.shape[0]
     x = np.full(n, n ** -0.5)
@@ -490,6 +506,14 @@ def _well_conditioned(gram) -> bool:
     mu = max(rayleigh, float(gram.diagonal().max()))
     if not mu > 0:  # also rejects NaN
         return False
-    a = gram.copy()
-    a.flat[:: n + 1] -= GRAM_TAU * mu
-    return _cholesky(a) is not None
+    blocks = [(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK)]
+    diagonal = [gram[j:e, j:e].copy() for j, e in blocks]
+    for (j, e), block in zip(blocks, diagonal):
+        gram[j:e, j:e] = block.T
+        gram[j:e, e:] = gram[e:, j:e].T
+    gram.flat[:: n + 1] -= GRAM_TAU * mu
+    passed = _cholesky(gram.T) is not None
+    for (j, e), block in zip(blocks, diagonal):
+        gram[j:e, j:e] = block
+        gram[j:e, e:] = gram[e:, j:e].T
+    return passed

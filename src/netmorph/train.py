@@ -137,7 +137,8 @@ class _TrainState:
     def forward_backward(self, x, labels):
         """Cross-entropy loss and parameter gradients for one minibatch."""
         n = x.shape[0]
-        out, caches = forward_pass(self.net.layers, self.params, x)
+        caches = []
+        out = forward_pass(self.net.layers, self.params, x, caches)
         logits = out.reshape(n, -1)
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)

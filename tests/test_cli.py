@@ -67,6 +67,14 @@ class TestParseInspect:
         assert "expected c,h,w, got '3,32'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_arch_exits_2(self, tmp_path, capsys):
+        # 10^12 channels ask numpy for 196 TiB, which fails before a page is touched
+        out = tmp_path / "x.nmph"
+        code, stdout, stderr = run(capsys, "parse", "--arch", "(3:1000000000000)", "-o", str(out))
+        assert code == EXIT_USAGE
+        assert stdout == "" and stderr.startswith("error=")
+        assert not out.exists()
+
     def test_parse_inspect_round_trip(self, tmp_path, capsys):
         out = tmp_path / "net.nmph"
         run(capsys, "parse", "--arch", "[(5:32x4)(1:32)]x2", "-o", str(out))
@@ -190,16 +198,24 @@ class TestMorphVerify:
             (("--op", "width", "--width", "-3"), EXIT_USAGE),
             (("--op", "width", "--width", "2"), EXIT_INFEASIBLE),
             (("--op", "ksize", "--kernel", "1"), EXIT_INFEASIBLE),
+            (("--op", "width", "--width", "1000000000000"), EXIT_INFEASIBLE),
+            (("--op", "depth", "--cl", "1000000000000", "--k1", "3", "--k2", "3"), EXIT_INFEASIBLE),
+            (("--op", "subnet", "--paths", "(3:1000000000000)(3:4)"), EXIT_INFEASIBLE),
+            (("--op", "ksize", "--kernel", "1000000001"), EXIT_INFEASIBLE),
+            (("--op", "depth", "--cl", "4", "--k1", "1000000001", "--k2", "1"), EXIT_INFEASIBLE),
         ],
         ids=[
             "depth-cl-0", "depth-k1-0", "depth-k1-2", "ksize-kernel-4", "ksize-kernel--1",
             "width-0", "width--3", "width-2", "ksize-kernel-1",
+            "width-10^12", "depth-cl-10^12", "subnet-10^12", "ksize-kernel-10^9", "depth-k1-10^9",
         ],
     )
     def test_morph_value_exit_code(self, op_args, code, tmp_path, capsys):
         # a value no net could take (a non-positive size, an even kernel) is
         # a usage error; shrinking this (3:4) conv's width or 3x3 kernel is
-        # a valid value that this net cannot take
+        # a valid value that this net cannot take, and so is one too large:
+        # 10^12 channels ask numpy for 196 TiB, which fails before a page is
+        # touched, and a 10^9 kernel is more bytes than numpy can index
         parent, out = tmp_path / "p.nmph", tmp_path / "x.nmph"
         run(capsys, "parse", "--arch", "(3:4)(3:4)", "--input-shape", "3,8,8", "-o", str(parent))
         got, stdout, stderr = run(capsys, "morph", "-i", str(parent), "-o", str(out), "--layer", "0", *op_args)

@@ -376,7 +376,8 @@ class TestNoWritesIntoInputs:
         x[0, 0, 0, :2] = [0.0, -0.0]
         before = x.copy()
         x.setflags(write=False)  # a write into x raises
-        out, caches = forward_pass(layers, [layer.params() for layer in layers], x)
+        caches = []
+        out = forward_pass(layers, [layer.params() for layer in layers], x, caches)
         assert np.array_equal(x, before) and np.array_equal(np.signbit(x), np.signbit(before))
         assert caches[0] is x and caches[1][2][0] is x and not np.shares_memory(out, x)
 

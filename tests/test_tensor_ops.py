@@ -334,6 +334,11 @@ class TestPadCropFilter:
         with pytest.raises(ShapeError):
             pad_filter(np.zeros((1, 1, 3, 3)), 4)
 
+    def test_unindexable_filter_raises(self):
+        # 4*3*(10^9+1)^2 float64 entries are more bytes than numpy can index
+        with pytest.raises(ShapeError, match="too large to index"):
+            pad_filter(np.zeros((4, 3, 3, 3)), 1000000001)
+
 
 @pytest.mark.parametrize(
     "call",
@@ -656,6 +661,26 @@ def gram_matrices(draw, n=None, kinds=("spread", "singular", "zero")):
     return (gram + gram.T) / 2
 
 
+def _shifted_copy_verdict(gram):
+    """The route test's verdict from a shifted copy of gram: the same power
+    iteration, then ``_cholesky`` on gram - GRAM_TAU * mu * I."""
+    n = gram.shape[0]
+    x = np.full(n, n ** -0.5)
+    for _ in range(30):
+        y = gram @ x
+        rayleigh = float(x @ y)
+        norm = (y @ y) ** 0.5
+        if not norm > 0:
+            break
+        x = y / norm
+    mu = max(rayleigh, float(gram.diagonal().max()))
+    if not mu > 0:
+        return False
+    a = gram.copy()
+    a.flat[:: n + 1] -= GRAM_TAU * mu
+    return _cholesky(a) is not None
+
+
 class TestGramRoute:
     @settings(max_examples=60, deadline=None)
     @given(gram_matrices())
@@ -666,6 +691,24 @@ class TestGramRoute:
         lam = np.linalg.eigvalsh(gram)
         assert _well_conditioned(gram) == bool(lam[-1] > 0 and lam[0] >= GRAM_TAU * lam[-1])
         assert gram.tobytes() == before.tobytes()
+
+    def test_route_test_keeps_what_the_solve_reads(self):
+        # _tall_gram's rounding leaves some of its outputs asymmetric.  On
+        # those the in-place route test must give the shifted copy's verdict
+        # and hand back the lower triangle and the diagonal as they were
+        rng = make_rng(45)
+        verdicts, asymmetric = set(), 0
+        for _ in range(40):
+            k1, k2 = (int(k) for k in rng.choice([3, 5], size=2))
+            c_in, c_mid = (int(c) for c in rng.integers(1, 25, size=2))
+            gram = _tall_gram(rng.standard_normal((c_in, c_mid, k1, k1)), k2)
+            before = gram.copy()
+            verdict = _well_conditioned(gram)
+            assert verdict == _shifted_copy_verdict(before)
+            assert np.tril(gram).tobytes() == np.tril(before).tobytes()
+            verdicts.add(verdict)
+            asymmetric += not np.array_equal(before, before.T)
+        assert verdicts == {False, True} and asymmetric >= 5
 
     @settings(max_examples=60, deadline=None)
     @given(
