@@ -9,18 +9,15 @@ without a parser.
 
 import argparse
 import functools
-import math
 import os
 import sys
 
 import numpy as np
 
 from .archparse import parse_arch, print_arch, build_network
-from .errors import ArchParseError, FormatError, InfeasibleMorphError, NetMorphError, ShapeError
+from .errors import ArchParseError, FormatError, InfeasibleMorphError, NetMorphError, ShapeError, _finite, _index, _odd_kernel
 from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _depth_child
-from .morph_variants import (
-    SubnetMorphRequest, WidthMorphRequest, _check_split_weights, _odd_kernel, expand_kernel, morph_stacked, widen,
-)
+from .morph_variants import SubnetMorphRequest, WidthMorphRequest, expand_kernel, morph_stacked, widen
 from .netdef import BASES, ConvLayer, PActLayer, ParallelLayer
 from .serialize import load as load_net, save as save_net
 from .train import TrainConfig, evaluate, load_mnist_idx, train_sgd
@@ -62,31 +59,25 @@ def _conv_raw_index(net, ordinal):
 
 def _parse_paths(text):
     """Per-path notation with an @weight suffix, comma separated, e.g.
-    "(3:32)(1:32)@0.5,(5:32)@0.5"."""
+    "(3:32)(1:32)@0.5,(5:32)@0.5".  Only the notation's own rules are
+    checked here; ``SubnetMorphRequest`` checks the kernels and weights."""
     specs, weights = [], []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if "@" in chunk:
             body, w = chunk.rsplit("@", 1)
             try:
-                weight = float(w)
+                weights.append(float(w))
             except ValueError:
-                weight = math.nan
-            if not math.isfinite(weight):
-                raise ArchParseError(f"path weight {w!r} is not a finite number")
-            weights.append(weight)
+                raise ArchParseError(f"path weight {w!r} is not a number") from None
         else:
-            body, w = chunk, None
+            body = chunk
             weights.append(None)
         specs.append([(s.kernel, s.channels) for s in parse_arch(body)])
     if any(w is None for w in weights):
         if not all(w is None for w in weights):
             raise ArchParseError("either give every path an @weight or none")
         weights = [1.0 / len(specs)] * len(specs)
-    try:
-        _check_split_weights(weights)
-    except ShapeError as exc:
-        raise ArchParseError(str(exc)) from None
     return specs, weights
 
 
@@ -113,7 +104,9 @@ def cmd_inspect(args):
 def _morph_request(args, raw):
     """The request ``args`` make of conv ``raw``: a depth, width or subnet
     request, or the new kernel size.  A value that no net could take (a
-    non-positive size, an even kernel) raises ``ShapeError`` here."""
+    non-positive size, an even kernel, a ``--tol`` not above 0) raises
+    ``ShapeError`` here."""
+    _finite(args.tol, "--tol", low=0, strict=True)
     if args.op == "depth":
         if args.cl is None or args.k1 is None or args.k2 is None:
             raise UsageError("depth morph needs --cl, --k1 and --k2")
@@ -133,8 +126,6 @@ def _morph_request(args, raw):
 
 
 def cmd_morph(args):
-    if not 0 < args.tol < math.inf:  # also rejects NaN
-        raise UsageError(f"--tol must be a finite number > 0, got {args.tol}")
     net = load_net(args.input)
     raw = _conv_raw_index(net, args.layer)
     # a value no net could take is a usage error (exit 2); a valid value
@@ -163,10 +154,8 @@ def cmd_morph(args):
 
 
 def cmd_verify(args):
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
-    if not 0 <= args.tol < math.inf:  # also rejects NaN
-        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
+    _index(args.samples, "--samples", low=1)
+    _finite(args.tol, "--tol", low=0)
     a = load_net(args.net_a)
     b = load_net(args.net_b)
     report = check_preservation(a, b, n_samples=args.samples, tol=args.tol, seed=args.seed)

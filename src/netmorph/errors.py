@@ -1,8 +1,9 @@
-"""Exception hierarchy shared by the whole package, and the two argument
+"""Exception hierarchy shared by the whole package, and the argument
 checks that raise one of them: ``_index`` for integers and ``_finite`` for
-finite numbers, each with an optional lower bound.  Every size, count,
-seed, tol and training setting is read through one of them, so a
-non-number (a string, ``None``) is a ``ShapeError`` too."""
+finite numbers, each with an optional lower bound, and ``_odd_kernel`` for
+kernel sizes.  Every size, count, kernel, seed, tol and training setting
+is read through one of them, so a non-number (a string, ``None``) is a
+``ShapeError`` too."""
 
 import math
 import operator
@@ -46,6 +47,15 @@ def _index(value, name: str, low=None) -> int:
         bound = "" if low is None else f" >= {low}"
         raise ShapeError(f"{name} must be an integer{bound}, got {value!r}")
     return index
+
+
+def _odd_kernel(value, name: str) -> int:
+    """``value`` as an odd kernel size >= 1, else a ``ShapeError`` naming
+    ``name``: every morph grows and composes kernels about a centre pixel."""
+    k = _index(value, name, low=1)
+    if k % 2 == 0:
+        raise ShapeError(f"{name} must be odd, got {k}")
+    return k
 
 
 def _finite(value, name: str, low=None, strict=False) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InfeasibleMorphError, ShapeError, _finite, _index
+from .errors import InfeasibleMorphError, ShapeError, _finite, _index, _odd_kernel
 from .netdef import ConvLayer, NetworkDef, PActLayer
 from .rng import make_rng
 from .tensor_ops import _growth, as_filter, lstsq_factor_step, pad_filter
@@ -36,10 +36,10 @@ class DepthMorphRequest:
     tol: float = DEFAULT_TOL  # relative Frobenius residual treated as "loss = 0"
 
     def __post_init__(self):
-        for name, low in (("layer_index", None), ("c_l", 1), ("k1", 1), ("k2", 1), ("max_iter", 1), ("seed", 0)):
+        for name, low in (("layer_index", None), ("c_l", 1), ("max_iter", 1), ("seed", 0)):
             _index(getattr(self, name), name, low=low)
-        if self.k1 % 2 == 0 or self.k2 % 2 == 0:
-            raise ShapeError(f"factor kernels must be odd, got k1={self.k1}, k2={self.k2}")
+        _odd_kernel(self.k1, "k1")
+        _odd_kernel(self.k2, "k2")
         _finite(self.tol, "tol", low=0, strict=True)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleMorphError, ShapeError, _finite, _index
+from .errors import InfeasibleMorphError, ShapeError, _finite, _index, _odd_kernel
 from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _conv_at, factor_chain, morph_practical
 from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer
 from .rng import make_rng
@@ -28,12 +28,6 @@ class WidthMorphRequest:
             _index(getattr(self, name), name, low=low)
 
 
-def _check_split_weights(weights):
-    # "not <=" also rejects a NaN sum
-    if not abs(sum(weights) - 1.0) <= 1e-12:
-        raise ShapeError(f"split weights must be finite and sum to 1, got {sum(weights)}")
-
-
 @dataclass(frozen=True)
 class SubnetMorphRequest:
     """``path_specs`` is one list of (kernel, channels) pairs per path; the
@@ -48,14 +42,18 @@ class SubnetMorphRequest:
     def __post_init__(self):
         for name, low in (("layer_index", None), ("seed", 0)):
             _index(getattr(self, name), name, low=low)
-        specs = tuple(tuple((_index(k, "path kernel"), _index(c, "path channels")) for k, c in p) for p in self.path_specs)
+        specs = tuple(
+            tuple((_odd_kernel(k, "path kernel"), _index(c, "path channels", low=1)) for k, c in p) for p in self.path_specs
+        )
         object.__setattr__(self, "path_specs", specs)
         for w in self.split_weights:
             _finite(w, "split weight")
         object.__setattr__(self, "split_weights", tuple(float(w) for w in self.split_weights))
         if len(self.path_specs) != len(self.split_weights):
             raise ShapeError("one split weight per path is required")
-        _check_split_weights(self.split_weights)
+        total = sum(self.split_weights)
+        if abs(total - 1.0) > 1e-12:
+            raise ShapeError(f"split weights must be finite and sum to 1, got {total}")
         _finite(self.tol, "tol", low=0, strict=True)
 
 
@@ -110,14 +108,6 @@ def widen(net: NetworkDef, req: WidthMorphRequest) -> NetworkDef:
 # kernel-size morphing
 
 
-def _odd_kernel(value, name: str) -> int:
-    """``value`` as an odd kernel size >= 1, else a ``ShapeError``."""
-    k = _index(value, name, low=1)
-    if k % 2 == 0:
-        raise ShapeError(f"kernel size must be odd, got {k}")
-    return k
-
-
 def expand_kernel(net: NetworkDef, layer_index: int, new_kernel: int) -> NetworkDef:
     """Grow a conv layer's kernel by a centered ring of zeros and its pad by
     the ring's width (``factor_chain`` of one factor).  Exact everywhere,
@@ -148,15 +138,13 @@ def morph_sequential(g, widths, kernels, seed: int = 0, tol: float = DEFAULT_TOL
     so a one-kernel chain is ``g`` grown to that kernel.
     """
     g = as_filter(g)
-    kernels = [_index(v, "kernel", low=1) for v in kernels]
+    kernels = [_odd_kernel(v, "kernel") for v in kernels]
     widths = [_index(v, "width", low=1) for v in widths]
     n = len(kernels)
     if n < 1:
         raise ShapeError("a sequential morph needs at least one layer")
     if len(widths) != n - 1:
         raise ShapeError(f"{n} kernels need {n - 1} widths, got {len(widths)}")
-    if any(v % 2 == 0 for v in kernels):
-        raise ShapeError("kernels must be odd")
 
     factors, rest = [], g
     for p in range(n - 1):

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ShapeError, _index
+from .errors import ShapeError, _index, _odd_kernel
 from .tensor_ops import as_blob, as_filter, conv_batch, conv_filter_grad, conv_input_grad
 
 BASES = ("relu", "tanh", "sigmoid")
@@ -144,8 +144,7 @@ class ConvLayer:
             raise ShapeError(f"bias length {b.shape} does not match {w.shape[0]} output channels")
         if not np.all(np.isfinite(b)):
             raise ShapeError("bias contains non-finite entries")
-        if w.shape[2] % 2 == 0:
-            raise ShapeError(f"kernel size must be odd, got {w.shape[2]}")
+        _odd_kernel(w.shape[2], "kernel size")
         pad = _index(self.pad, "pad", low=0)  # a Python int, which serialize writes to JSON
         w.setflags(write=False)
         b.setflags(write=False)

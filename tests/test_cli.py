@@ -203,11 +203,14 @@ class TestMorphVerify:
             (("--op", "subnet", "--paths", "(3:1000000000000)(3:4)"), EXIT_INFEASIBLE),
             (("--op", "ksize", "--kernel", "1000000001"), EXIT_INFEASIBLE),
             (("--op", "depth", "--cl", "4", "--k1", "1000000001", "--k2", "1"), EXIT_INFEASIBLE),
+            (("--op", "subnet", "--paths", "(4:4)(2:4)"), EXIT_USAGE),
+            (("--op", "subnet", "--paths", "(2:4)"), EXIT_USAGE),
         ],
         ids=[
             "depth-cl-0", "depth-k1-0", "depth-k1-2", "ksize-kernel-4", "ksize-kernel--1",
             "width-0", "width--3", "width-2", "ksize-kernel-1",
             "width-10^12", "depth-cl-10^12", "subnet-10^12", "ksize-kernel-10^9", "depth-k1-10^9",
+            "subnet-paths-4-2", "subnet-paths-2",
         ],
     )
     def test_morph_value_exit_code(self, op_args, code, tmp_path, capsys):

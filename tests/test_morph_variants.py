@@ -123,6 +123,9 @@ VALUES_NO_NET_TAKES = {
     "depth-k2-even": lambda: DepthMorphRequest(0, 2, 3, 4),
     "expand_kernel-negative": lambda: expand_kernel(_four_channel_net(), 0, -1),
     "sequential-even": lambda: morph_sequential(np.ones((4, 2, 3, 3)), [2], [3, 2]),
+    "subnet-path-kernel-even": lambda: SubnetMorphRequest(0, [[(4, 4)]], [1.0]),
+    "subnet-path-kernel-0": lambda: SubnetMorphRequest(0, [[(0, 4)]], [1.0]),
+    "subnet-path-channels-0": lambda: SubnetMorphRequest(0, [[(3, 0)]], [1.0]),
 }
 
 
