@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InfeasibleMorphError, ShapeError, _finite, _index, _odd_kernel
-from .netdef import ConvLayer, NetworkDef, PActLayer
+from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer
 from .rng import make_rng
 from .tensor_ops import _growth, as_filter, lstsq_factor_step, pad_filter
 
@@ -164,11 +164,46 @@ def _conv_at(layers, index) -> ConvLayer:
     return layer
 
 
+def _splice(net: NetworkDef, index: int, chains) -> NetworkDef:
+    """``net`` with conv ``index`` replaced by its factor chains, each a list
+    of filters: one chain in place, several as the paths of one
+    ``ParallelLayer``, whose outputs sum.
+
+    Each chain keeps the padding its target reads.  For a target of kernel
+    k and pad p and a chain of effective kernel k' (the factors' kernels
+    summed, less one per join), the first conv pads p + (k' - k)/2 and
+    every later conv pads 0.  Unpadded convolutions of one zero-padded blob
+    compose exactly, so the chain computes the target's filter zero-padded
+    to k' on the whole image, border included.
+
+    Consecutive factor convs are joined by an identity-parameter (a=1)
+    activation whose base is that of the activation following the target,
+    or ReLU when none follows.  Every conv keeps the target's ``fc`` hint.
+    The first chain's last conv carries the target's bias; every other
+    conv has a zero bias.
+    """
+    layers = list(net.layers)
+    target = layers[index]
+    nxt = layers[index + 1] if index + 1 < len(layers) else None
+    base = nxt.base if isinstance(nxt, PActLayer) else "relu"
+    bias, paths = target.bias, []
+    for factors in chains:
+        pad = target.pad + (1 + sum(f.shape[2] - 1 for f in factors) - target.kernel) // 2
+        path = []
+        for f in factors[:-1]:
+            path += [ConvLayer(f, np.zeros(len(f)), pad, target.fc), PActLayer(base=base, a=1.0)]
+            pad = 0
+        path.append(ConvLayer(factors[-1], bias, pad, target.fc))
+        paths.append(path)
+        bias = np.zeros(target.c_out)
+    layers[index : index + 1] = paths[0] if len(paths) == 1 else [ParallelLayer(paths=paths)]
+    return net.with_layers(layers)
+
+
 def _depth_child(net: NetworkDef, req: DepthMorphRequest, algorithm: str):
     """``insert_depth``'s child and the ``MorphOutcome`` it was built from."""
     i = req.layer_index
-    layers = list(net.layers)
-    target = _conv_at(layers, i)
+    target = _conv_at(net.layers, i)
     # looked up per call, so a rebinding of the module's solver names is seen
     solver = {"general": morph_general, "practical": morph_practical}.get(algorithm)
     if solver is None:
@@ -179,8 +214,7 @@ def _depth_child(net: NetworkDef, req: DepthMorphRequest, algorithm: str):
             f"depth morph did not converge: residual {outcome.residual:.3e} > tol {req.tol:g} "
             f"after {outcome.iterations} iterations"
         )
-    layers[i : i + 1] = factor_chain(layers, i, [outcome.f_lo, outcome.f_hi], target.bias)
-    return net.with_layers(layers), outcome
+    return _splice(net, i, [[outcome.f_lo, outcome.f_hi]]), outcome
 
 
 def insert_depth(net: NetworkDef, req: DepthMorphRequest, algorithm: str = "practical") -> NetworkDef:
@@ -191,31 +225,3 @@ def insert_depth(net: NetworkDef, req: DepthMorphRequest, algorithm: str = "prac
     algorithm raises InfeasibleMorphError when its residual ends above
     ``req.tol``."""
     return _depth_child(net, req, algorithm)[0]
-
-
-def factor_chain(layers, index, factors, bias) -> list:
-    """The layers that replace conv ``layers[index]`` by its factor chain.
-
-    The chain keeps the padding its target reads.  For a target of kernel k
-    and pad p and a chain of effective kernel k' (the factors' kernels
-    summed, less one per join), the first conv pads p + (k' - k)/2 and
-    every later conv pads 0.  Unpadded convolutions of one zero-padded blob
-    compose exactly, so the chain computes the target's filter zero-padded
-    to k' on the whole image, border included.
-
-    Consecutive factor convs are joined by an identity-parameter (a=1)
-    activation whose base is that of the activation following the parent
-    conv, or ReLU when none follows.  Every conv keeps the parent's ``fc``
-    hint; only the last one carries ``bias``.
-    """
-    target = layers[index]
-    nxt = layers[index + 1] if index + 1 < len(layers) else None
-    base = nxt.base if isinstance(nxt, PActLayer) else "relu"
-    k_eff = 1 + sum(f.shape[2] - 1 for f in factors)
-    pad = target.pad + (k_eff - target.kernel) // 2
-    chain = []
-    for f in factors[:-1]:
-        chain += [ConvLayer(f, np.zeros(len(f)), pad, target.fc), PActLayer(base=base, a=1.0)]
-        pad = 0
-    chain.append(ConvLayer(factors[-1], bias, pad, target.fc))
-    return chain

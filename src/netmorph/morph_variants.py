@@ -3,7 +3,7 @@
 
 All operations return a new network whose function matches the parent
 exactly everywhere, image borders included: every new conv chain keeps the
-padding its target reads (``factor_chain``).
+padding its target reads (``morph_depth._splice``).
 """
 
 from dataclasses import dataclass, replace
@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleMorphError, ShapeError, _finite, _index, _odd_kernel
-from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _conv_at, factor_chain, morph_practical
-from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer
+from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _conv_at, _splice, morph_practical
+from .netdef import ConvLayer, NetworkDef, PActLayer
 from .rng import make_rng
 from .tensor_ops import _growth, as_filter, pad_filter
 
@@ -45,6 +45,8 @@ class SubnetMorphRequest:
         specs = tuple(
             tuple((_odd_kernel(k, "path kernel"), _index(c, "path channels", low=1)) for k, c in p) for p in self.path_specs
         )
+        if not all(specs):
+            raise ShapeError("empty path spec")
         object.__setattr__(self, "path_specs", specs)
         for w in self.split_weights:
             _finite(w, "split weight")
@@ -110,13 +112,10 @@ def widen(net: NetworkDef, req: WidthMorphRequest) -> NetworkDef:
 
 def expand_kernel(net: NetworkDef, layer_index: int, new_kernel: int) -> NetworkDef:
     """Grow a conv layer's kernel by a centered ring of zeros and its pad by
-    the ring's width (``factor_chain`` of one factor).  Exact everywhere,
+    the ring's width (``_splice`` of a one-factor chain).  Exact everywhere,
     including image borders."""
-    layers = list(net.layers)
-    target = _conv_at(layers, layer_index)
-    w = pad_filter(target.weights, _odd_kernel(new_kernel, "new_kernel"))
-    layers[layer_index : layer_index + 1] = factor_chain(layers, layer_index, [w], target.bias)
-    return net.with_layers(layers)
+    target = _conv_at(net.layers, layer_index)
+    return _splice(net, layer_index, [[pad_filter(target.weights, _odd_kernel(new_kernel, "new_kernel"))]])
 
 
 # ---------------------------------------------------------------------------
@@ -165,29 +164,19 @@ def morph_sequential(g, widths, kernels, seed: int = 0, tol: float = DEFAULT_TOL
 
 
 def morph_stacked(net: NetworkDef, req: SubnetMorphRequest) -> NetworkDef:
-    """Replace one conv layer by parallel sequential paths whose outputs
-    sum to the parent layer's output on the whole image; each path pads
-    for its own effective kernel."""
-    layers = list(net.layers)
-    target = _conv_at(layers, req.layer_index)
-    k = target.kernel
+    """Replace one conv layer by sequential paths whose outputs sum to the
+    parent layer's output on the whole image; each path pads for its own
+    effective kernel.  Several paths become one ``ParallelLayer``; a single
+    path is spliced in place as a plain chain."""
+    target = _conv_at(net.layers, req.layer_index)
     for spec in req.path_specs:
-        if not spec:
-            raise ShapeError("empty path spec")
         if spec[-1][1] != target.c_out:
             raise ShapeError(f"each path must end with {target.c_out} channels, got {spec[-1][1]}")
-        _growth(k, sum(kk for kk, _ in spec) - (len(spec) - 1))
-
-    if len(req.path_specs) == 1 and len(req.path_specs[0]) == 1 and req.path_specs[0][0][0] == k:
-        return net  # degenerate one-way stack of the original layer
-
-    paths = []
-    for p, (w, spec) in enumerate(zip(req.split_weights, req.path_specs)):
-        factors = morph_sequential(
+        _growth(target.kernel, sum(kk for kk, _ in spec) - (len(spec) - 1))
+    chains = [
+        morph_sequential(
             w * target.weights, widths=[c for _, c in spec[:-1]], kernels=[kk for kk, _ in spec], seed=req.seed + p, tol=req.tol
         )
-        bias = target.bias if p == 0 else np.zeros(target.c_out)
-        paths.append(tuple(factor_chain(layers, req.layer_index, factors, bias)))
-
-    layers[req.layer_index] = ParallelLayer(paths=tuple(paths))
-    return net.with_layers(layers)
+        for p, (w, spec) in enumerate(zip(req.split_weights, req.path_specs))
+    ]
+    return _splice(net, req.layer_index, chains)

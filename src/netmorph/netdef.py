@@ -17,7 +17,7 @@ new network.  Layers and networks compare by value: two convs are equal
 when their weights (shape and values), bias, pad and ``fc`` hint are.
 A conv's pad is any integer >= 0: a morph pads each new conv so that the
 child computes its parent's function on the whole image (see
-``morph_depth.factor_chain``), which is not same-padding in general.
+``morph_depth._splice``), which is not same-padding in general.
 
 Every layer type runs batched (n, c, h, w) arrays through one engine:
 ``params()`` gives its parameter dict p, ``forward(x, p)`` returns the

@@ -267,6 +267,27 @@ class TestMorphVerify:
         assert code == EXIT_OK
         assert "layer2=parallel paths=2 path_lengths=1/3" in stdout.splitlines()
 
+    @pytest.mark.parametrize(
+        "layer, paths, twin, arch",
+        [
+            ("1", "(5:128)(1:32)", ("--op", "depth", "--cl", "128", "--k1", "5", "--k2", "1"), "(3:16)(5:128)(1:32)"),
+            ("0", "(5:16)", ("--op", "ksize", "--kernel", "5"), "(5:16)(5:32)"),
+        ],
+        ids=["depth", "ksize"],
+    )
+    def test_one_path_subnet_writes_the_morph_it_spells(self, layer, paths, twin, arch, tmp_path, capsys):
+        parent = tmp_path / "parent.nmph"
+        run(capsys, "parse", "--arch", "(3:16)(5:32)", "--input-shape", "3,8,8", "--seed", "2", "-o", str(parent))
+        files = {}
+        for op_args in (("--op", "subnet", "--paths", paths), twin):
+            files[op_args[1]] = tmp_path / f"{op_args[1]}.nmph"
+            code, *_ = run(capsys, "morph", "-i", str(parent), "-o", str(files[op_args[1]]), "--layer", layer, "--seed", "5", *op_args)
+            assert code == EXIT_OK
+        assert files["subnet"].read_bytes() == files[twin[1]].read_bytes()
+        # a plain chain, so inspect spells it in the notation
+        code, stdout, _ = run(capsys, "inspect", "-i", str(files["subnet"]))
+        assert code == EXIT_OK and f"arch={arch}" in stdout.splitlines()
+
     def test_mixed_weighted_and_unweighted_paths_exit_2(self, parent_file, tmp_path, capsys):
         out = tmp_path / "x.nmph"
         code, _, stderr = run(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmorph import (
     Dataset,
@@ -32,7 +34,6 @@ from netmorph import (
     train_sgd,
     widen,
 )
-from netmorph.morph_depth import factor_chain
 from netmorph.netdef import BASES, _convs
 
 
@@ -396,7 +397,9 @@ class TestMorphStacked:
     def test_degenerate_single_path_is_identity(self):
         parent = _two_conv_net(90)
         req = SubnetMorphRequest(layer_index=0, path_specs=[[(3, 4)]], split_weights=[1.0])
-        assert morph_stacked(parent, req) is parent
+        child = morph_stacked(parent, req)
+        assert child == parent
+        assert serialize(child) == serialize(parent)
 
     def test_two_way_equal_split_both_plain(self):
         parent = _two_conv_net(91)
@@ -465,6 +468,11 @@ class TestMorphStacked:
                 ),
             )
 
+    @pytest.mark.parametrize("specs", [[[]], [[(3, 4)], []]], ids=["only", "second"])
+    def test_empty_path_rejected_by_the_request(self, specs):
+        with pytest.raises(ShapeError, match="empty path spec"):
+            SubnetMorphRequest(0, specs, [1.0 / len(specs)] * len(specs))
+
     def test_weight_sum_validated(self):
         with pytest.raises(ShapeError):
             SubnetMorphRequest(layer_index=0, path_specs=[[(3, 4)]], split_weights=[0.9])
@@ -479,11 +487,8 @@ class TestMorphStacked:
 
 def _sequential(net, i, widths, kernels, seed=0):
     """``net`` with conv i replaced by the chain ``morph_sequential`` factors it into."""
-    layers = list(net.layers)
-    target = layers[i]
-    factors = morph_sequential(target.weights, widths, kernels, seed=seed)
-    layers[i : i + 1] = factor_chain(layers, i, factors, target.bias)
-    return net.with_layers(layers)
+    c_out = net.layers[i].c_out
+    return morph_stacked(net, SubnetMorphRequest(i, [list(zip(kernels, widths + [c_out]))], [1.0], seed=seed))
 
 
 WHOLE_OUTPUT_CHAIN = [
@@ -515,3 +520,46 @@ def test_every_morph_matches_its_parent_on_the_whole_output():
             report = check_preservation(parent, child, n_samples=3, tol=1e-8)
             assert report.pass_ and report.crop_border == 0, f"{name}: {report.to_text()}"
         nets.append(child)
+
+
+def _bytes_or_error(morph):
+    """The weight file of ``morph()``'s child, or the type of the error it raises."""
+    try:
+        return serialize(morph())
+    except (InfeasibleMorphError, ShapeError) as exc:
+        return type(exc)
+
+
+@st.composite
+def one_path_requests(draw):
+    """A 1-3 conv net of at most 8 channels over at most 10x10 images, one
+    of its convs, and a one- or two-factor path for it of kernels up to 5."""
+    kernel, channels = st.sampled_from([1, 3, 5]), st.integers(1, 8)
+    convs = draw(st.lists(st.tuples(kernel, channels), min_size=1, max_size=3))
+    arch = "".join(f"({k}:{c})" for k, c in convs)
+    hw = draw(st.integers(1, 10))
+    net = build_network(parse_arch(arch), (draw(channels), hw, hw), seed=draw(st.integers(0, 99)), base=draw(st.sampled_from(BASES)))
+    i = draw(st.sampled_from(net.conv_indices()))
+    return net, i, draw(kernel), draw(kernel), draw(channels), draw(st.integers(0, 99))
+
+
+class TestOneSpliceForEveryKind:
+    """A one-path subnet morph is the depth or kernel-size morph it spells,
+    byte for byte: all three end in the same splice."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_path_requests())
+    def test_two_factor_path_is_the_depth_morph(self, case):
+        net, i, k1, k2, c_l, seed = case
+        c_out = net.layers[i].c_out
+        subnet = _bytes_or_error(lambda: morph_stacked(net, SubnetMorphRequest(i, [[(k1, c_l), (k2, c_out)]], [1.0], seed=seed)))
+        depth = _bytes_or_error(lambda: insert_depth(net, DepthMorphRequest(i, c_l, k1, k2, seed=seed), "practical"))
+        assert subnet == depth
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_path_requests())
+    def test_one_factor_path_is_the_kernel_size_morph(self, case):
+        net, i, k, *_ = case
+        c_out = net.layers[i].c_out
+        subnet = _bytes_or_error(lambda: morph_stacked(net, SubnetMorphRequest(i, [[(k, c_out)]], [1.0])))
+        assert subnet == _bytes_or_error(lambda: expand_kernel(net, i, k))
