@@ -42,15 +42,21 @@ class SubnetMorphRequest:
     def __post_init__(self):
         for name, low in (("layer_index", None), ("seed", 0)):
             _index(getattr(self, name), name, low=low)
-        specs = tuple(
-            tuple((_odd_kernel(k, "path kernel"), _index(c, "path channels", low=1)) for k, c in p) for p in self.path_specs
-        )
+        try:
+            pairs = tuple(tuple((k, c) for k, c in p) for p in self.path_specs)
+            weights = tuple(self.split_weights)
+        except (TypeError, ValueError):
+            raise ShapeError(
+                "path_specs must be a sequence of paths of (kernel, channels) pairs and split_weights a sequence, "
+                f"got {self.path_specs!r} and {self.split_weights!r}"
+            ) from None
+        specs = tuple(tuple((_odd_kernel(k, "path kernel"), _index(c, "path channels", low=1)) for k, c in p) for p in pairs)
         if not all(specs):
             raise ShapeError("empty path spec")
         object.__setattr__(self, "path_specs", specs)
-        for w in self.split_weights:
+        for w in weights:
             _finite(w, "split weight")
-        object.__setattr__(self, "split_weights", tuple(float(w) for w in self.split_weights))
+        object.__setattr__(self, "split_weights", tuple(float(w) for w in weights))
         if len(self.path_specs) != len(self.split_weights):
             raise ShapeError("one split weight per path is required")
         total = sum(self.split_weights)

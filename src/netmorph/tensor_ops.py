@@ -35,9 +35,9 @@ either factor is 1x1 its system matrix is the fixed factor's channel
 matrix, and otherwise the fixed factor's columns, transposed.  Either is
 solved through its smaller Gram matrix by a blocked Cholesky factor when
 that matrix is well conditioned, and by the SVD-backed
-``np.linalg.lstsq`` otherwise.  A conv system's residual is the composed
-filter's distance to the target, a conv of the fixed factor's channels, so
-its columns are built once per solve.
+``np.linalg.lstsq`` otherwise.  A conv system's Gram matrices, its A^T y
+and its residual all come from the fixed factor itself, so its columns
+are built only for that fallback.
 """
 
 import functools
@@ -322,16 +322,20 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     sides are the target's output channels and, for kf = 1, its offsets.
     Per output channel the dense system repeats A k2*k2 times on its
     diagonal: the same solution, residual and numpy default cutoff.
-    Otherwise A is the dense conv columns, whose A^T A (m >= n) is built
-    from the fixed factor's channel autocorrelation (``_tall_gram``).  Both
-    are solved by ``_gram_solve``, through the smaller Gram matrix: the
-    normal equations (A^T A) x = A^T b when m >= n, else the minimum-norm
-    x = A^T y with (A A^T) y = b.  That route is
+    Otherwise A is the dense conv columns, and nothing the Gram route needs
+    is built from them: A^T A (m >= n) comes from the fixed factor's channel
+    autocorrelation (``_tall_gram``), A A^T from its channel products
+    placed at each shift of the free kernel (``_wide_gram``), and A^T y
+    from one conv of the fixed factor (``_columns_product``).  Both
+    systems are solved by ``_gram_solve``, through the smaller Gram matrix:
+    the normal equations (A^T A) x = A^T b when m >= n, else the
+    minimum-norm x = A^T y with (A A^T) y = b.  That route is
     taken only when the Gram matrix G has lambda_min > GRAM_TAU * mu for an
     estimate mu <= lambda_max with mu > 0 (``_well_conditioned``), and G is
     then solved through its blocked Cholesky factor; rank-deficient or
     ill-conditioned systems fall back to the SVD-backed lstsq on A, which
-    keeps the minimum-norm answer.
+    keeps the minimum-norm answer and is the one place conv columns are
+    built.
 
     Returns (solved, residual) with residual = ||g_tilde - compose||_F.
     """
@@ -355,8 +359,9 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     target = g_tilde.reshape(g_tilde.shape[0], rows, -1).transpose(1, 0, 2).reshape(rows, -1)
     if min(kf, k2) == 1:
         a_t = fixed.reshape(c_mid, -1).T
+        tall = a_t.shape[0] >= a_t.shape[1]
         rcond = np.finfo(np.float64).eps * max(a_t.shape) * k2 * k2
-        sol = _gram_solve(lambda: a_t, target, rcond, lambda: a_t.T @ a_t)
+        sol = _gram_solve(tall, lambda: a_t.T @ a_t if tall else a_t @ a_t.T, lambda y: a_t.T @ y, lambda: a_t, target, rcond)
         residual = float(np.linalg.norm(sol.T @ a_t.T - target.T))
         solved = sol.reshape(c_mid, -1, k2, k2).transpose(1, 0, 2, 3)
     else:
@@ -364,7 +369,15 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
         # input channels (see compose_filters): those columns, transposed, are
         # the system matrix, and one solve serves every output channel
         batch = fixed.transpose(1, 0, 2, 3)
-        sol = _gram_solve(lambda: _columns(batch, k2, k2 - 1).T, target, None, lambda: _tall_gram(batch, k2))
+        tall = rows >= c_mid * k2 * k2
+        sol = _gram_solve(
+            tall,
+            lambda: (_tall_gram if tall else _wide_gram)(batch, k2),
+            lambda y: _columns_product(batch, y, k2),
+            lambda: _columns(batch, k2, k2 - 1).T,
+            target,
+            None,
+        )
         solved = sol.T.reshape(-1, c_mid, k2, k2)[:, :, ::-1, ::-1]
         residual = float(np.linalg.norm(compose_filters(fixed, solved) - g_tilde))
     if solve_side == "lower":
@@ -372,56 +385,97 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     return np.ascontiguousarray(solved), residual
 
 
-def _gram_solve(system, b, rcond, tall_gram):
-    """Least-squares x minimizing ||A x - b|| for A = system(): through the
-    smaller Gram matrix when ``_well_conditioned`` says so (see
-    ``lstsq_factor_step``), else by lstsq on A with cutoff ``rcond``.  A
-    tall system's A^T A comes from ``tall_gram()``, a wide one's A A^T from
-    A.  ``_well_conditioned`` tests the Gram matrix inside its own upper
-    triangle, so no second n x n array is made; the matrix is then
-    factorized in place by ``_cholesky`` and solved by two block
-    substitutions, which read only its lower triangle.  Should that
-    unshifted factorization fail after the shifted one passed, lstsq
-    solves.  A is dropped before the Gram matrix is built, and built again
-    only when lstsq or a wide system's x = A^T y needs it: held, conv
-    columns raised morph-chain's peak memory from 62.7 to 68 MiB.  The
-    caller takes the residual without A.
+def _gram_solve(tall, make_gram, adjoint, system, b, rcond):
+    """Least-squares x minimizing ||A x - b||: through the smaller Gram
+    matrix ``make_gram()`` (A^T A when ``tall``, else A A^T) when
+    ``_well_conditioned`` says so (see ``lstsq_factor_step``), else by lstsq
+    on A = ``system()`` with cutoff ``rcond``.  ``adjoint(y)`` is A^T y: a
+    tall system's right-hand side A^T b, taken before the Gram matrix is
+    built, and a wide one's x = A^T y from (A A^T) y = b.
+
+    ``_well_conditioned`` tests gram inside its own upper triangle, so no
+    second n x n array is made; gram is then factorized in place by
+    ``_cholesky`` and solved by two block substitutions, which read only
+    its lower triangle.  Should that unshifted factorization fail after the
+    shifted one passed, lstsq solves.  gram is dropped before lstsq builds
+    A, and the caller takes the residual without A.
     """
-    a = system()
-    tall = a.shape[0] >= a.shape[1]
-    rhs = a.T @ b if tall else b.copy()
-    gram = None if tall else a @ a.T
-    del a
-    gram = tall_gram() if tall else gram
+    rhs = adjoint(b) if tall else b.copy()
+    gram = make_gram()
     inv_blocks = _cholesky(gram) if _well_conditioned(gram) else None
     x = None if inv_blocks is None else _cholesky_solve(gram, inv_blocks, rhs)
     del gram
     if x is None:
         x, *_ = np.linalg.lstsq(system(), b, rcond=rcond)
     elif not tall:
-        x = system().T @ x
+        x = adjoint(x)
     return x
+
+
+def _columns_product(batch, y, k2: int) -> np.ndarray:
+    """``_columns(batch, k2, k2 - 1) @ y`` without the columns, for y of
+    shape (c_in*kt*kt, c_out).  Entry ((c, u, v), o) sums batch[n, c, y' +
+    u - p, x' + v - p] * y[(n, y', x'), o] over (n, y', x'), p = k2 - 1:
+    it is the conv at pad p of batch's channels, as c_in-channel blobs,
+    with y's columns as (c_in, kt, kt) filters.  Of ``conv_batch``'s routes
+    only the columns route (c_out >= (kt-1)*c_in) builds an array of the
+    columns' size."""
+    c_in, c_mid, k1 = batch.shape[0], batch.shape[1], batch.shape[2]
+    kt = k1 + k2 - 1
+    out = conv_batch(batch.transpose(1, 0, 2, 3), y.T.reshape(-1, c_in, kt, kt), k2 - 1)
+    return out.transpose(0, 2, 3, 1).reshape(c_mid * k2 * k2, -1)
 
 
 def _tall_gram(batch, k2: int) -> np.ndarray:
     """A^T A for the fully padded columns A^T = ``_columns(batch, k2, k2 - 1)``.
 
     Every window of a blob lies inside the padded blob, so entry
-    ((c, u, v), (c', u', v')) depends only on the lag (u' - u, v' - v): it
-    is the channel autocorrelation R[c, c', u' - u, v' - v] of the batch,
-    summed over it.  R is the filter gradient of the batch against itself,
-    a product with c*(2*d+1)^2 columns instead of the c*k2*k2 columns' own
-    product with each other; it is zero beyond the lags d = min(k1, k2) - 1
-    that a k1 x k1 blob has, so it is zero-padded to lags +-(k2 - 1).  Row
-    (c, u, v) is then the k2 x k2 window of R at offset (k2-1-u, k2-1-v).
+    ((c, u, v), (c', u', v')) depends only on the lag l = (u' - u, v' - v):
+    it is the channel autocorrelation R[c, c', l] of the batch, summed over
+    it, and zero beyond the lags d = min(k1, k2) - 1 that a k1 x k1 blob
+    has.  Each lag is one product of the parts of the batch that overlap at
+    it, written into every block at that lag.  Only half the lags are
+    multiplied: the other half are R[c, c', -l] = R[c', c, l], written as
+    the mirror blocks.  No array of all the lags is held: morph-chain's
+    864x864 upper solve peaks at 7.08 MiB traced, against 10.49 MiB when R
+    came from the 2400x432 columns of a filter-gradient product.
     """
     c, k1 = batch.shape[1], batch.shape[2]
     d = min(k1, k2) - 1
-    r = conv_filter_grad(batch, batch, 2 * d + 1, d)
-    if d < k2 - 1:
-        r = np.pad(r, ((0, 0), (0, 0), (k2 - 1 - d,) * 2, (k2 - 1 - d,) * 2))
-    windows = np.lib.stride_tricks.sliding_window_view(r, (k2, k2), axis=(2, 3))[:, :, ::-1, ::-1]
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(c * k2 * k2, -1)
+    f = batch.transpose(1, 0, 2, 3)
+    gram = np.zeros((c, k2, k2, c, k2, k2))
+    for ly in range(d + 1):
+        for lx in range(-d if ly else 0, d + 1):
+            x0, x1 = max(0, -lx), k1 - max(0, lx)
+            lag = f[:, :, : k1 - ly, x0:x1].reshape(c, -1) @ f[:, :, ly:, x0 + lx : x1 + lx].reshape(c, -1).T
+            for u in range(k2 - ly):
+                for v in range(max(0, -lx), k2 - max(0, lx)):
+                    gram[:, u, v, :, u + ly, v + lx] = lag
+                    gram[:, u + ly, v + lx, :, u, v] = lag.T
+    return gram.reshape(c * k2 * k2, -1)
+
+
+def _wide_gram(batch, k2: int) -> np.ndarray:
+    """A A^T for the fully padded columns A^T = ``_columns(batch, k2, k2 - 1)``.
+
+    A's row (n, y, x) holds batch[n, c, y + u - p, x + v - p] at column
+    (c, u, v), p = k2 - 1, zero outside the blob.  With B the (n*k1*k1, c)
+    matrix of the batch and Q = B B^T, entry ((n, y, x), (n', y', x')) of
+    A A^T is thus the sum of Q's entries ((n, y - s, x - t), (n', y' - s,
+    x' - t)) over the k2*k2 shifts (s, t): Q placed at each shift of the
+    kt x kt grid, in its rows and its columns alike.  On morph-chain's
+    800x864 lower solve Q is a 288x96x288 product, against 800x864x800
+    for A A^T from the columns.
+    """
+    n, c, k1 = batch.shape[0], batch.shape[1], batch.shape[2]
+    kt = k1 + k2 - 1
+    b = batch.transpose(0, 2, 3, 1).reshape(-1, c)
+    q = (b @ b.T).reshape(n, k1, k1, n, k1, k1)
+    gram = np.zeros((n, kt, kt, n, kt, kt))
+    for u in range(k2):
+        for v in range(k2):
+            gram[:, u : u + k1, v : v + k1, :, u : u + k1, v : v + k1] += q
+    return gram.reshape(n * kt * kt, -1)
 
 
 # Column-block width of ``_cholesky``.  On a 2-vCPU Xeon with OpenBLAS,
@@ -490,8 +544,8 @@ def _well_conditioned(gram) -> bool:
     triangle is mirrored again and the diagonal blocks put back, so gram's
     lower triangle and diagonal blocks come back as they were, and the
     upper triangle outside those blocks as the transpose of the lower.  A
-    shifted copy, 5.7 MiB at 864x864, raised the traced peak of
-    morph-chain's depth step from 11.57 to 12.57 MiB
+    shifted copy, 5.7 MiB at 864x864, raises the traced peak of
+    morph-chain's depth step from 7.26 to 12.57 MiB
     (``test_3x3_pair_peak_memory`` holds the lower peak).  The memory costs
     time: the two mirror passes are transposing copies, and the test takes
     about 2 ms more per call than on a copy, 14.8 -> 16.8 ms at 864x864

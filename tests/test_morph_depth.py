@@ -303,14 +303,27 @@ class TestMorphPractical:
         assert err <= req.tol
 
     def test_3x3_pair_peak_memory(self):
-        # morph-chain's depth step peaks at 11.57 MiB traced, at the 7.9 MiB
-        # of 2400x432 columns _tall_gram builds.  The route test factorizes
-        # the shifted Gram matrix inside the matrix itself; a shifted copy
-        # (5.7 MiB at 864x864) peaked at 12.57 MiB
+        # morph-chain's depth step peaks at 7.26 MiB traced, in _wide_gram:
+        # the wide lower solve's 800x800 Gram matrix (4.9 MiB) and the fixed
+        # factor's 288x288 channel product.  The tall upper solve peaks at
+        # 7.08 MiB, in _tall_gram's 864x864 one.  Building the 800x864
+        # system for that wide solve's A A^T and x = A^T y peaked at
+        # 11.57 MiB, and a shifted copy of the Gram matrix in the route test
+        # peaks at 12.57 MiB
         g = make_rng(40).standard_normal((32, 48, 5, 5))
         req = DepthMorphRequest(layer_index=0, c_l=96, k1=3, k2=3, seed=0)
         peak = traced_peak(lambda: morph_practical(g, req))
-        assert peak <= 12 * 2**20, f"{peak / 2**20:.2f} MiB"
+        assert peak <= 9 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    def test_wide_3x3_pair_peak_memory(self):
+        # (32,32,3,3) -> (3:128)(3:32): both solves are wide (800x1152), and
+        # the step peaks at 7.07 MiB traced, in the lower solve's
+        # _wide_gram.  Building the system for A A^T and x = A^T y peaked
+        # at 13.07 MiB
+        g = make_rng(40).standard_normal((32, 32, 3, 3))
+        req = DepthMorphRequest(layer_index=0, c_l=128, k1=3, k2=3, seed=0)
+        peak = traced_peak(lambda: morph_practical(g, req))
+        assert peak <= 9 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 class TestRebalance:

@@ -130,9 +130,26 @@ VALUES_NO_NET_TAKES = {
 }
 
 
-@pytest.mark.parametrize("build", VALUES_NO_NET_TAKES.values(), ids=VALUES_NO_NET_TAKES.keys())
-def test_value_no_net_takes_rejected(build):
-    with pytest.raises(ShapeError, match="must be an integer >= 1|must be odd"):
+# Subnet requests whose paths are not sequences of (kernel, channels) pairs,
+# or whose split weights are not a sequence.
+MALFORMED_SUBNET_REQUESTS = {
+    "subnet-paths-not-nested": lambda: SubnetMorphRequest(0, [(3, 4)], [1.0]),
+    "subnet-path-step-not-a-pair": lambda: SubnetMorphRequest(0, [[(3,)]], [1.0]),
+    "subnet-paths-none": lambda: SubnetMorphRequest(0, None, [1.0]),
+    "subnet-weights-scalar": lambda: SubnetMorphRequest(0, [[(3, 4)]], 1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [pytest.param(build, "must be an integer >= 1|must be odd", id=i) for i, build in VALUES_NO_NET_TAKES.items()]
+    + [
+        pytest.param(build, r"path_specs must be a sequence of paths of \(kernel, channels\) pairs", id=i)
+        for i, build in MALFORMED_SUBNET_REQUESTS.items()
+    ],
+)
+def test_value_no_net_takes_rejected(build, message):
+    with pytest.raises(ShapeError, match=message):
         build()
 
 
