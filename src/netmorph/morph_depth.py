@@ -92,14 +92,14 @@ def rebalance(f_lo, f_hi):
     """Rescale the factor pair to equal spread without changing their
     composition: f_lo * s and f_hi / s with s = sqrt(spread_hi/spread_lo).
 
-    Spread is the standard deviation of the entries; single-entry factors
-    fall back to the absolute value so the scalar case stays defined.
+    Spread is the standard deviation of the entries, or their largest
+    absolute value when they are all equal (a single entry among them).
     """
     f_lo = as_filter(f_lo)
     f_hi = as_filter(f_hi)
 
     def spread(t):
-        return float(np.std(t)) if t.size > 1 else float(abs(t.reshape(-1)[0]))
+        return float(np.std(t)) or float(np.abs(t).max())
 
     s_lo, s_hi = spread(f_lo), spread(f_hi)
     if s_lo == 0.0 or s_hi == 0.0:

@@ -196,6 +196,7 @@ class PActLayer:
         if self.base not in BASES:
             raise ValueError(f"unknown activation base {self.base!r}")
         _check_a(self.a)
+        object.__setattr__(self, "a", float(self.a))  # a Python float, which serialize writes to JSON
 
     def params(self):
         return {"a": self.a}

@@ -34,7 +34,7 @@ The least-squares factor solve (``lstsq_factor_step``) has one rule: when
 either factor is 1x1 its system matrix is the fixed factor's channel
 matrix, and otherwise the fixed factor's columns, transposed.  Either is
 solved through its smaller Gram matrix by a blocked Cholesky factor when
-that matrix is well conditioned, and by the SVD-backed
+that matrix is well conditioned (``_gram_factor``), and by the SVD-backed
 ``np.linalg.lstsq`` otherwise.  A conv system's Gram matrices, its A^T y
 and its residual all come from the fixed factor itself, so its columns
 are built only for that fallback.
@@ -60,11 +60,10 @@ __all__ = [
 ]
 
 # Smallest ratio lambda_min/mu of a Gram matrix, of a channel system or of
-# conv columns alike, that the factor solve solves directly, mu <=
-# lambda_max being a power-iteration estimate (``_well_conditioned``).
-# Solving the normal equations costs about eps/GRAM_TAU ~ 2e-11 in relative
-# accuracy, far inside the 1e-9 the dense-oracle tests allow and the 1e-8
-# morph tolerance; below it the solve falls back to lstsq.
+# conv columns alike, that the factor solve solves directly (see
+# ``_gram_factor``).  Solving the normal equations costs about eps/GRAM_TAU
+# ~ 2e-11 in relative accuracy, far inside the 1e-9 the dense-oracle tests
+# allow and the 1e-8 morph tolerance; below it the solve falls back to lstsq.
 GRAM_TAU = 1e-5
 
 
@@ -330,9 +329,8 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
     systems are solved by ``_gram_solve``, through the smaller Gram matrix:
     the normal equations (A^T A) x = A^T b when m >= n, else the
     minimum-norm x = A^T y with (A A^T) y = b.  That route is
-    taken only when the Gram matrix G has lambda_min > GRAM_TAU * mu for an
-    estimate mu <= lambda_max with mu > 0 (``_well_conditioned``), and G is
-    then solved through its blocked Cholesky factor; rank-deficient or
+    taken only when ``_gram_factor`` finds the Gram matrix well conditioned,
+    and solves through its blocked Cholesky factor; rank-deficient or
     ill-conditioned systems fall back to the SVD-backed lstsq on A, which
     keeps the minimum-norm answer and is the one place conv columns are
     built.
@@ -388,21 +386,16 @@ def lstsq_factor_step(g_tilde, fixed, solve_side: str):
 def _gram_solve(tall, make_gram, adjoint, system, b, rcond):
     """Least-squares x minimizing ||A x - b||: through the smaller Gram
     matrix ``make_gram()`` (A^T A when ``tall``, else A A^T) when
-    ``_well_conditioned`` says so (see ``lstsq_factor_step``), else by lstsq
-    on A = ``system()`` with cutoff ``rcond``.  ``adjoint(y)`` is A^T y: a
-    tall system's right-hand side A^T b, taken before the Gram matrix is
-    built, and a wide one's x = A^T y from (A A^T) y = b.
-
-    ``_well_conditioned`` tests gram inside its own upper triangle, so no
-    second n x n array is made; gram is then factorized in place by
-    ``_cholesky`` and solved by two block substitutions, which read only
-    its lower triangle.  Should that unshifted factorization fail after the
-    shifted one passed, lstsq solves.  gram is dropped before lstsq builds
-    A, and the caller takes the residual without A.
+    ``_gram_factor`` factorizes it, else by lstsq on A = ``system()`` with
+    cutoff ``rcond``.  ``adjoint(y)`` is A^T y: a tall system's right-hand
+    side A^T b, taken before the Gram matrix is built, and a wide one's x =
+    A^T y from (A A^T) y = b.  The factor is solved by two block
+    substitutions; gram is dropped before lstsq builds A, and the caller
+    takes the residual without A.
     """
     rhs = adjoint(b) if tall else b.copy()
     gram = make_gram()
-    inv_blocks = _cholesky(gram) if _well_conditioned(gram) else None
+    inv_blocks = _gram_factor(gram)
     x = None if inv_blocks is None else _cholesky_solve(gram, inv_blocks, rhs)
     del gram
     if x is None:
@@ -487,27 +480,28 @@ _BLOCK = 32
 
 
 def _cholesky(a):
-    """Blocked Cholesky factorization a = L L^T in place, or None when a is
-    not numerically positive definite.
+    """Blocked Cholesky factorization a = L L^T, or None when a is not
+    numerically positive definite.
 
     Left-looking: each column block of a is first updated by one product of
     the blocks of L to its left, then factorized.  L's rows below each
     diagonal block are written into a, and the inverses of L's diagonal
     blocks are returned, one per block; a's diagonal blocks and upper
-    triangle are left as scratch.  numpy has no triangular solve, so each
-    solve by a diagonal block is a product with its inverse.  The
-    factorization needs no LAPACK buffer or second n x n array, as
-    ``np.linalg.cholesky`` would.
+    triangle are left as they were (of them, only the diagonal blocks are
+    read), so a second factorization can run in the transpose.  numpy has no triangular solve, so each solve by a
+    diagonal block is a product with its inverse.  The factorization needs
+    no LAPACK buffer or second n x n array, as ``np.linalg.cholesky`` would.
     """
     n = a.shape[0]
     inv_blocks = []
     for j in range(0, n, _BLOCK):
         e = min(j + _BLOCK, n)
-        a[j:, j:e] -= a[j:, :j] @ a[j:e, :j].T
+        update = a[j:, :j] @ a[j:e, :j].T
         try:
-            inv_blocks.append(np.linalg.inv(np.linalg.cholesky(a[j:e, j:e])))
+            inv_blocks.append(np.linalg.inv(np.linalg.cholesky(a[j:e, j:e] - update[: e - j])))
         except np.linalg.LinAlgError:
             return None
+        a[e:, j:e] -= update[e - j :]
         a[e:, j:e] = a[e:, j:e] @ inv_blocks[-1].T
     return inv_blocks
 
@@ -526,30 +520,28 @@ def _cholesky_solve(l, inv_blocks, y):
     return y
 
 
-def _well_conditioned(gram) -> bool:
-    """The Gram route's verdict: whether mu > 0 and gram - GRAM_TAU * mu * I
-    is positive definite, i.e. lambda_min > GRAM_TAU * mu.
+def _gram_factor(gram):
+    """The Gram route's factor: ``_cholesky(gram)``, which leaves L in
+    gram's lower triangle and returns the inverses of its diagonal blocks,
+    when mu > 0 and gram - GRAM_TAU * mu * I is positive definite, i.e.
+    lambda_min > GRAM_TAU * mu; else None, and the solve falls back to
+    lstsq.
 
     mu = max(Rayleigh quotient after 30 power-iteration steps from the
     uniform vector, largest diagonal entry); both are lower bounds, so mu <=
     lambda_max (0.98 and 0.998 of it on morph-chain's 864x864 and 800x800
     systems).
 
-    The test holds no second n x n array: ``_cholesky`` factorizes the
-    shifted matrix inside ``gram``, in the upper triangle, which neither
-    ``_cholesky`` nor ``_cholesky_solve`` reads when they solve.  gram's
-    diagonal blocks are saved, its lower triangle is mirrored into the
-    upper one (each diagonal block transposed), and ``_cholesky(gram.T)``
-    then sees the values a shifted copy of gram would hold.  The upper
-    triangle is mirrored again and the diagonal blocks put back, so gram's
-    lower triangle and diagonal blocks come back as they were, and the
-    upper triangle outside those blocks as the transpose of the lower.  A
-    shifted copy, 5.7 MiB at 864x864, raises the traced peak of
+    gram is factorized for the solve first, then its diagonal is shifted and
+    ``_cholesky(gram.T)`` factorizes the shifted matrix in the upper
+    triangle, which the first factorization left as it was and which the
+    solve never reads.  Every Gram matrix the factor solve builds is exactly
+    symmetric, so that triangle holds gram, and no second n x n array is
+    made: a shifted copy, 5.7 MiB at 864x864, raises the traced peak of
     morph-chain's depth step from 7.26 to 12.57 MiB
-    (``test_3x3_pair_peak_memory`` holds the lower peak).  The memory costs
-    time: the two mirror passes are transposing copies, and the test takes
-    about 2 ms more per call than on a copy, 14.8 -> 16.8 ms at 864x864
-    (medians of 41 interleaved calls, 2-vCPU Xeon, 2 threads).
+    (``test_3x3_pair_peak_memory`` holds the lower peak).  An
+    ill-conditioned matrix may pay for the solve's factorization before it
+    fails the test.
     """
     n = gram.shape[0]
     x = np.full(n, n ** -0.5)
@@ -562,15 +554,9 @@ def _well_conditioned(gram) -> bool:
         x = y / norm
     mu = max(rayleigh, float(gram.diagonal().max()))
     if not mu > 0:  # also rejects NaN
-        return False
-    blocks = [(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK)]
-    diagonal = [gram[j:e, j:e].copy() for j, e in blocks]
-    for (j, e), block in zip(blocks, diagonal):
-        gram[j:e, j:e] = block.T
-        gram[j:e, e:] = gram[e:, j:e].T
+        return None
+    inv_blocks = _cholesky(gram)
+    if inv_blocks is None:
+        return None
     gram.flat[:: n + 1] -= GRAM_TAU * mu
-    passed = _cholesky(gram.T) is not None
-    for (j, e), block in zip(blocks, diagonal):
-        gram[j:e, j:e] = block
-        gram[j:e, e:] = gram[e:, j:e].T
-    return passed
+    return inv_blocks if _cholesky(gram.T) is not None else None

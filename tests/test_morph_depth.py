@@ -353,6 +353,21 @@ class TestRebalance:
         with pytest.raises(ShapeError):
             rebalance(np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
 
+    @pytest.mark.parametrize(
+        "weights, pad, req",
+        [
+            (np.ones((1, 1, 3, 3)) / 9, 1, DepthMorphRequest(0, 1, 3, 1)),
+            (np.ones((1, 2, 1, 1)), 0, DepthMorphRequest(0, 1, 1, 1)),
+        ],
+        ids=["box-filter", "equal-1x1"],
+    )
+    def test_equal_entry_factors_rebalance(self, weights, pad, req):
+        # a factor whose entries are equal and nonzero has a standard
+        # deviation of 0; its spread is then its largest absolute value
+        parent = NetworkDef(input_shape=(weights.shape[1], 6, 6), layers=[ConvLayer(weights, np.zeros(1), pad)])
+        child = insert_depth(parent, req)
+        assert check_preservation(parent, child, n_samples=3, tol=1e-8).pass_
+
 
 class TestAllZeroFilter:
     """An all-zero filter factors into a pair of all-zero factors, which

@@ -158,6 +158,15 @@ def test_round_trip_gives_an_equal_net(net):
     assert serialize(back) == data
 
 
+@pytest.mark.parametrize("a", [np.float32(0.5), np.int64(1), True], ids=repr)
+def test_pact_a_of_any_number_type_round_trips(a):
+    # PActLayer stores a as a Python float, which JSON writes and reads back
+    net = NetworkDef(input_shape=(2, 6, 6), layers=[same_pad_conv(np.ones((3, 2, 3, 3))), PActLayer(base="relu", a=a)])
+    back = deserialize(serialize(net))
+    assert back == net
+    assert type(back.layers[1].a) is float and back.layers[1].a == float(a)
+
+
 def test_magic_starts_the_file():
     assert serialize(_sample_net())[:5] == b"NMPH\x01"
 

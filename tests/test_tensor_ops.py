@@ -21,8 +21,8 @@ from netmorph.tensor_ops import (
     _cholesky_solve,
     _columns,
     _columns_product,
+    _gram_factor,
     _tall_gram,
-    _well_conditioned,
     _wide_gram,
     conv_batch,
     conv_input_grad,
@@ -695,22 +695,33 @@ def _shifted_copy_verdict(gram):
     return _cholesky(a) is not None
 
 
+def _solves_as_a_copy(gram, inv_blocks, before):
+    """Whether the factor ``_gram_factor`` left in gram solves byte for byte
+    as ``_cholesky`` of a copy of the matrix ``before`` it was handed."""
+    factor = before.copy()
+    b = make_rng(0).standard_normal((gram.shape[0], 3))
+    want = _cholesky_solve(factor, _cholesky(factor), b.copy())
+    return _cholesky_solve(gram, inv_blocks, b.copy()).tobytes() == want.tobytes()
+
+
 class TestGramRoute:
     @settings(max_examples=60, deadline=None)
     @given(gram_matrices())
     def test_verdict_is_the_eigenvalue_rule(self, gram):
         # the power iteration and shifted Cholesky test must give the
-        # eigenvalue rule's verdict, and leave the matrix for the solve as is
+        # eigenvalue rule's verdict, and a factor that passes must be the
+        # one the solve would take from the matrix as it was
         before = gram.copy()
         lam = np.linalg.eigvalsh(gram)
-        assert _well_conditioned(gram) == bool(lam[-1] > 0 and lam[0] >= GRAM_TAU * lam[-1])
-        assert gram.tobytes() == before.tobytes()
+        inv_blocks = _gram_factor(gram)
+        assert (inv_blocks is not None) == bool(lam[-1] > 0 and lam[0] >= GRAM_TAU * lam[-1])
+        assert inv_blocks is None or _solves_as_a_copy(gram, inv_blocks, before)
 
     def test_route_test_keeps_what_the_solve_reads(self):
         # a Gram matrix whose upper triangle is off by rounding, here one ulp
-        # of each entry: the in-place route test must give the shifted
-        # copy's verdict and hand back the lower triangle and the diagonal
-        # as they were
+        # of each entry: the route test, which reads that triangle, must
+        # give the shifted copy's verdict, and the factor it returns must
+        # solve as the lower triangle's own factor does
         rng = make_rng(45)
         verdicts = set()
         for _ in range(40):
@@ -720,11 +731,52 @@ class TestGramRoute:
             upper = np.triu_indices_from(gram, 1)
             gram[upper] = np.nextafter(gram[upper], np.inf)
             before = gram.copy()
-            verdict = _well_conditioned(gram)
+            inv_blocks = _gram_factor(gram)
+            verdict = inv_blocks is not None
             assert verdict == _shifted_copy_verdict(before)
-            assert np.tril(gram).tobytes() == np.tril(before).tobytes()
+            assert not verdict or _solves_as_a_copy(gram, inv_blocks, before)
             verdicts.add(verdict)
         assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64, 65, 100])
+    def test_cholesky_leaves_diagonal_blocks_and_upper_triangle(self, n):
+        # the factorization writes only L's blocks below the diagonal
+        # blocks, so a second one can run in the transpose: sizes on both
+        # sides of a 32-block edge
+        rng = make_rng(n)
+        x = rng.standard_normal((n, n + 3))
+        a = x @ x.T
+        before = a.copy()
+        assert _cholesky(a) is not None
+        block = np.arange(n) // 32
+        kept = np.triu(np.ones((n, n), dtype=bool)) | (block[:, None] == block[None, :])
+        assert a[kept].tobytes() == before[kept].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 3, 5]),
+        st.sampled_from([1, 3, 5]),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    def test_gram_matrices_are_exactly_symmetric(self, kf, k2, c_mid, c_in, adjoint, seed):
+        # the route test reads the upper triangle and the solve the lower
+        # one, so every Gram matrix the factor solve builds must be
+        # symmetric to the last bit, from a fixed factor as given or as the
+        # adjoint view of a lower solve
+        fixed = make_rng(seed).standard_normal((c_in, c_mid, kf, kf) if adjoint else (c_mid, c_in, kf, kf))
+        if adjoint:
+            fixed = tensor_ops._adjoint(fixed)
+        if min(kf, k2) == 1:
+            a_t = fixed.reshape(c_mid, -1).T
+            grams = [a_t.T @ a_t, a_t @ a_t.T]
+        else:
+            batch = fixed.transpose(1, 0, 2, 3)
+            grams = [_tall_gram(batch, k2), _wide_gram(batch, k2)]
+        for gram in grams:
+            assert gram.tobytes() == gram.T.copy().tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -736,7 +788,7 @@ class TestGramRoute:
     def test_cholesky_solve_matches_solve(self, gram, seed):
         # on every matrix the verdict sends down the Gram route, the blocked
         # factorization and its two block substitutions solve as LU does
-        assume(_well_conditioned(gram))
+        assume(_gram_factor(gram.copy()) is not None)
         b = make_rng(seed).standard_normal((gram.shape[0], 3))
         want = np.linalg.solve(gram, b)
         factor = gram.copy()
