@@ -12,8 +12,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from .archparse import parse_arch, print_arch, build_network
 from .errors import ArchParseError, FormatError, InfeasibleMorphError, NetMorphError, ShapeError, _finite, _index, _odd_kernel
 from .morph_depth import DEFAULT_TOL, DepthMorphRequest, _depth_child
@@ -21,7 +19,7 @@ from .morph_variants import SubnetMorphRequest, WidthMorphRequest, expand_kernel
 from .netdef import BASES, ConvLayer, PActLayer, ParallelLayer
 from .serialize import load as load_net, save as save_net
 from .train import TrainConfig, evaluate, load_mnist_idx, train_sgd
-from .verify import check_preservation, occupancy
+from .verify import _nonzero, check_preservation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -136,7 +134,7 @@ def cmd_morph(args):
         raise UsageError(str(exc)) from None
     if args.op == "depth":
         child, outcome = _depth_child(net, req, args.alg)
-        occ = occupancy(np.concatenate([outcome.f_lo.ravel(), outcome.f_hi.ravel()]))
+        occ = (_nonzero(outcome.f_lo) + _nonzero(outcome.f_hi)) / (outcome.f_lo.size + outcome.f_hi.size)
         print(f"op=depth layer={args.layer} residual={outcome.residual:.3e} shrunk_kernel={outcome.shrunk_kernel}")
         print(f"occupancy={occ:.6f}")
     elif args.op == "width":

@@ -14,8 +14,9 @@ sized by bytes: a chunk holds as many items as fit ``_CHUNK_BYTES`` at
 per item.  An MNIST-shaped 784->50->10 net takes 400 bytes per item, so
 a 10,000-item test set is one forward call; the paper's
 (5:32)(5:32)(5:64) parent at 3x32x32 takes 6.25 MiB, so its chunks hold
-3 items.  ``predictions`` of an empty dataset is empty, and ``evaluate``
-and ``train_sgd`` reject one.
+3 items.  Each chunk runs the net's inference plan (see ``netdef``),
+which the net composes once.  ``predictions`` of an empty dataset is
+empty, and ``evaluate`` and ``train_sgd`` reject one.
 """
 
 import copy

@@ -23,7 +23,7 @@ from netmorph.netdef import MAX_STACK_DEPTH
 
 from test_serialize import CRAFTED_MANIFESTS, DAMAGED_FILES, INVALID_LAYERS, _sample_net, nest_first_layer, rewrite_manifest
 from test_train import GZIP_DAMAGE, OVERSIZED_IMAGES, damage_gzip, write_idx_pair
-from test_verify import nan_output_pair
+from test_verify import nan_output_pair, paper_pair_children
 
 
 def run(capsys, *argv):
@@ -166,6 +166,15 @@ class TestMorphVerify:
         code, stdout, _ = run(capsys, "verify", "-a", str(parent_file), "-b", str(child), "--samples", "5")
         assert code == EXIT_OK
         assert "pass=true" in stdout
+
+    def test_verify_of_a_broken_paper_pair_child_fails(self, tmp_path, capsys):
+        parent, _, broken = paper_pair_children()
+        paths = tmp_path / "p.nmph", tmp_path / "c.nmph"
+        for path, net in zip(paths, (parent, broken["f_hi+1e-6"])):
+            path.write_bytes(serialize(net))
+        code, stdout, _ = run(capsys, "verify", "-a", str(paths[0]), "-b", str(paths[1]), "--samples", "5")
+        assert code == EXIT_FAIL
+        assert "pass=false" in stdout
 
     def test_depth_morph_matches_wider_arch(self, tmp_path, capsys):
         parent = tmp_path / "p.nmph"

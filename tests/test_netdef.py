@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from netmorph import (
     ConvLayer,
@@ -12,6 +14,7 @@ from netmorph import (
     PActLayer,
     ParallelLayer,
     ShapeError,
+    TrainConfig,
     build_network,
     check_preservation,
     compose_filters,
@@ -25,8 +28,10 @@ from netmorph import (
     parse_arch,
     same_pad_conv,
     serialize,
+    train_sgd,
 )
 from netmorph import netdef
+from netmorph.train import Dataset
 from netmorph.netdef import BASES, forward_batch, forward_pass
 
 # finite inputs with the awkward ends: both zeros, subnormals, huge values
@@ -79,10 +84,15 @@ class TestPActEval:
         assert pact_eval("tanh", 1.0, x) is x
 
     def test_a_out_of_range_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             pact_eval("relu", 1.5, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             pact_eval("relu", -0.1, 0.0)
+
+    @pytest.mark.parametrize("a", ["0.5", None, 1j, float("nan"), float("inf"), 1.5, -0.1], ids=repr)
+    def test_bad_a_is_a_shape_error(self, a):
+        with pytest.raises(ShapeError, match="a must be"):
+            PActLayer("relu", a)
 
 
 class TestPActGrad:
@@ -412,3 +422,137 @@ def test_identity_activation_computes_nothing_in_verify(monkeypatch):
     # ones, all on 4 channels; the a=1 one would read the 16-channel blob
     assert channels == [4] * 20
 
+
+
+@st.composite
+def identity_joined_chains(draw):
+    """A conv at any pad, then one or two more joined to it by a=1
+    activations at pad 0, then an a=0 activation; channels up to 8, images
+    up to 10x10, kernels up to 5, nonzero biases."""
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    base = draw(st.sampled_from(BASES))
+    channels = [draw(st.integers(1, 8)) for _ in range(draw(st.sampled_from((3, 4, 2))))]
+    kernels = [draw(st.sampled_from((1, 3, 5))) for _ in channels[1:]]
+    growth = sum(k - 1 for k in kernels)
+    pad = draw(st.integers(0, (growth + kernels[0] - 1) // 2))
+    side = draw(st.integers(1, 10))
+    assume(side + 2 * pad - growth >= 1)
+    layers = []
+    for i, (c_in, c_out, k) in enumerate(zip(channels, channels[1:], kernels)):
+        if i:
+            layers.append(PActLayer(base, 1.0))
+        w = rng.standard_normal((c_out, c_in, k, k))
+        layers.append(ConvLayer(w, rng.standard_normal(c_out) + 1.0, pad if i == 0 else 0))
+    layers.append(PActLayer(base, 0.0))
+    return NetworkDef(input_shape=(channels[0], side, side), layers=layers)
+
+
+def _layer_by_layer(net, x):
+    """Every layer of ``net`` run in turn: with a caches list, as training runs them."""
+    return forward_pass(net.layers, [layer.params() for layer in net.layers], x, caches=[])
+
+
+@pytest.fixture
+def conv_calls(monkeypatch):
+    """The weight shapes of the convs the layer engine runs."""
+    shapes, real = [], netdef.conv_batch
+
+    def spy(x, f, pad):
+        shapes.append(f.shape)
+        return real(x, f, pad)
+
+    monkeypatch.setattr(netdef, "conv_batch", spy)
+    return shapes
+
+
+def _pair(c_in, c_mid, c_out, k1, k2, a=1.0, hi_pad=0, parallel=False, seed=0):
+    """conv (c_in -> c_mid, k1, pad 1) -> PAct(a) -> conv (c_mid -> c_out, k2,
+    ``hi_pad``) on an 8x8 image, the activation on a one-path stack if
+    ``parallel``."""
+    rng = make_rng(seed)
+    act = PActLayer("relu", a)
+    layers = [
+        ConvLayer(rng.standard_normal((c_mid, c_in, k1, k1)), rng.standard_normal(c_mid), 1),
+        ParallelLayer(paths=((act,),)) if parallel else act,
+        ConvLayer(rng.standard_normal((c_out, c_mid, k2, k2)), rng.standard_normal(c_out), hi_pad),
+    ]
+    return NetworkDef(input_shape=(c_in, 8, 8), layers=layers)
+
+
+class TestInferencePlan:
+    """Inference runs each conv -> a=1 activation -> conv at pad 0 as its one
+    composed conv where that takes fewer multiply-adds; training runs every layer."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(identity_joined_chains(), st.integers(0, 2**16))
+    def test_matches_layer_by_layer(self, net, seed):
+        x = make_rng(seed).standard_normal((2,) + net.input_shape)
+        ref = _layer_by_layer(net, x)
+        scale = np.abs(ref).max()
+        assert np.abs(forward_batch(net, x) - ref).max() <= 1e-12 * scale
+        # against a parent whose first conv differs, so that no layer is shared
+        layers = list(net.layers)
+        layers[0] = replace(layers[0], bias=layers[0].bias + 0.5)
+        parent = net.with_layers(layers)
+        report = check_preservation(parent, net, n_samples=2, tol=0.0, seed=seed)
+        draws = make_rng(seed)
+        dev = 0.0
+        for _ in range(2):
+            x = draws.standard_normal((1,) + net.input_shape)
+            p, c = _layer_by_layer(parent, x), _layer_by_layer(net, x)
+            dev = max(dev, np.abs(p - c).max())
+            scale = max(scale, np.abs(p).max(), np.abs(c).max())
+        assert abs(report.max_abs_dev - dev) <= 1e-12 * scale
+
+    def test_paper_pair_runs_one_conv(self, conv_calls):
+        # (5:16)(1:4) from 4 channels: 4*4*25 multiply-adds per pixel against 16*(4*25 + 4)
+        net = _pair(4, 16, 4, 5, 1)
+        x = make_rng(1).standard_normal((2,) + net.input_shape)
+        ref = _layer_by_layer(net, x)
+        conv_calls.clear()
+        np.testing.assert_allclose(forward_batch(net, x), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        assert conv_calls == [(4, 4, 5, 5)]
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            _pair(4, 16, 4, 5, 1, a=0.999),
+            _pair(4, 16, 4, 5, 1, hi_pad=1),
+            _pair(4, 16, 4, 5, 1, parallel=True),
+            # 8*8*25 multiply-adds per pixel composed, against 2*(8*9 + 8*9) as two convs
+            _pair(8, 2, 8, 3, 3),
+        ],
+        ids=["a=0.999", "upper-pad-1", "stack-between", "costs-more"],
+    )
+    def test_runs_that_stay_two_convs(self, net, conv_calls):
+        x = make_rng(2).standard_normal((2,) + net.input_shape)
+        ref = _layer_by_layer(net, x)
+        conv_calls.clear()
+        assert np.array_equal(forward_batch(net, x), ref)
+        assert conv_calls == [net.layers[0].weights.shape, net.layers[-1].weights.shape]
+
+    def test_training_runs_every_conv(self, conv_calls):
+        # mnist-train's 784->50->10 child: training runs the 784->50 conv
+        rng = make_rng(3)
+        net = NetworkDef(
+            input_shape=(784, 1, 1),
+            layers=[
+                same_pad_conv(rng.standard_normal((50, 784, 1, 1)) * 0.03, fc=True),
+                PActLayer(base="relu", a=1.0),
+                same_pad_conv(rng.standard_normal((10, 50, 1, 1)), fc=True),
+            ],
+        )
+        ds = Dataset(images=rng.random((8, 784, 1, 1)), labels=np.arange(8) % 10)
+        train_sgd(net, ds, TrainConfig(batch_size=8, epochs=1))
+        assert conv_calls == [(50, 784, 1, 1), (10, 50, 1, 1)]
+
+    def test_overflowing_composition_keeps_the_layers(self, conv_calls):
+        # 1e200 * 1e200 overflows, but each conv alone maps 1e-300 to a finite value
+        big = np.full((1, 1, 1, 1), 1e200)
+        net = NetworkDef(
+            input_shape=(1, 1, 1),
+            layers=[ConvLayer(big, np.zeros(1), 0), PActLayer("tanh", 1.0), ConvLayer(big, np.zeros(1), 0)],
+        )
+        out = forward(net, np.full((1, 1, 1), 1e-300))
+        assert conv_calls == [(1, 1, 1, 1), (1, 1, 1, 1)]
+        assert out.item() == pytest.approx(1e100)

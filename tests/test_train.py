@@ -650,6 +650,29 @@ class TestPredictions:
         assert calls == [10_000]
         assert net._item_bytes == 400
 
+    def test_identity_joined_net_composes_once_per_call(self, monkeypatch):
+        # a 784->50->10 child over three chunks: its one composed conv is
+        # built on the first chunk and run on all three
+        rng = make_rng(25)
+        net = NetworkDef(
+            input_shape=(784, 1, 1),
+            layers=[
+                same_pad_conv(rng.standard_normal((50, 784, 1, 1)) * 0.03, fc=True),
+                PActLayer(base="relu", a=1.0),
+                same_pad_conv(rng.standard_normal((10, 50, 1, 1)), fc=True),
+            ],
+        )
+        composed, real = [], netdef.compose_filters
+        monkeypatch.setattr(netdef, "compose_filters", lambda lo, hi: composed.append(1) or real(lo, hi))
+        monkeypatch.setattr(train, "_CHUNK_BYTES", 4 * net._item_bytes)
+        calls = self._forward_calls(monkeypatch)
+        x = rng.random((10, 784, 1, 1))
+        got = predictions(net, Dataset(images=x, labels=np.zeros(10, dtype=np.int64)))
+        assert calls == [4, 4, 2] and composed == [1]
+        layers = net.layers
+        ref = netdef.forward_pass(layers, [layer.params() for layer in layers], x, caches=[])
+        assert got.tolist() == ref.reshape(10, -1).argmax(axis=1).tolist()
+
     def test_peak_memory_follows_the_budget(self, monkeypatch):
         # 600 items through (3:16)(3:16) at 3x16x16 and a 2 MiB budget:
         # chunks of 7 items at 288 KiB each (the 16->16 conv's columns).
