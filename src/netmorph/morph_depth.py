@@ -5,11 +5,13 @@ into the network.
 Two solvers are provided.  The general solver alternates least-squares
 half-steps on the two factors and drives the loss to zero whenever both
 factors have at least as many parameters as the padded target (the
-one-step convergence condition).  The practical solver runs the general
-solver for a single iteration with a progressively shrinking working
-kernel on the non-expanding side; the shrunk factor is zero-padded back
-to the requested kernel afterwards, trading outer-ring sparsity for
-guaranteed convergence in the expanding regime.
+one-step convergence condition).  The practical solver makes one factor
+solve per attempt: it draws the factor on the non-expanding side, with a
+progressively shrinking working kernel, and solves the expanding factor
+against it, the underdetermined half-step that reaches zero loss against
+any generic fixed factor.  The shrunk factor is zero-padded back to the
+requested kernel afterwards, trading outer-ring sparsity for guaranteed
+convergence in the expanding regime.
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import InfeasibleMorphError, ShapeError, _finite, _index, _odd_kernel
 from .netdef import ConvLayer, NetworkDef, PActLayer, ParallelLayer
 from .rng import make_rng
-from .tensor_ops import _growth, as_filter, lstsq_factor_step, pad_filter
+from .tensor_ops import _adjoint, _growth, as_filter, lstsq_factor_step, pad_filter
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 20
@@ -50,7 +52,7 @@ class MorphOutcome:
     residual: float  # relative Frobenius residual against the padded target
     iterations: int
     shrunk_kernel: int
-    trace: tuple = field(default_factory=tuple)  # residual after each half-step
+    trace: tuple = field(default_factory=tuple)  # residual after each solve (one for the practical solver)
 
 
 def converge_condition(c_lm1: int, c_l: int, c_lp1: int, k1: int, k2: int) -> bool:
@@ -62,20 +64,17 @@ def converge_condition(c_lm1: int, c_l: int, c_lp1: int, k1: int, k2: int) -> bo
     return min(c_l * c_lm1 * k1 * k1, c_lp1 * c_l * k2 * k2) >= target
 
 
-def _alternate(g, req, k1, k2, shrunk_kernel, rng, max_iter):
+def _alternate(g, req, rng):
     """Alternating least-squares on the two factors of g zero-padded to
     k1+k2-1, starting from a random lower factor (the first half-step
-    solves the upper one from it).  The working kernels ``k1``/``k2`` may
-    be smaller than the requested ones; the factors come back zero-padded
-    to ``req.k1``/``req.k2``, unbalanced, with the trace of relative
-    residuals after each half-step."""
-    g_tilde = pad_filter(g, k1 + k2 - 1)
+    solves the upper one from it).  The factors come back unbalanced, with
+    the trace of relative residuals after each half-step."""
+    g_tilde = pad_filter(g, req.k1 + req.k2 - 1)
     c_lm1 = g.shape[1]
-    f_lo = rng.standard_normal((req.c_l, c_lm1, k1, k1)) / np.sqrt(c_lm1 * k1 * k1)
-    norm = np.linalg.norm(g_tilde)
-    scale = norm if norm > 0 else 1.0
+    f_lo = rng.standard_normal((req.c_l, c_lm1, req.k1, req.k1)) / np.sqrt(c_lm1 * req.k1 * req.k1)
+    scale = float(np.linalg.norm(g_tilde)) or 1.0
     trace = []
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, req.max_iter + 1):
         f_hi, res = lstsq_factor_step(g_tilde, f_lo, "upper")
         trace.append(res / scale)
         f_lo, res = lstsq_factor_step(g_tilde, f_hi, "lower")
@@ -83,8 +82,31 @@ def _alternate(g, req, k1, k2, shrunk_kernel, rng, max_iter):
         if trace[-1] <= req.tol:
             break
     return MorphOutcome(
-        f_lo=pad_filter(f_lo, req.k1), f_hi=pad_filter(f_hi, req.k2), residual=trace[-1],
-        iterations=iterations, shrunk_kernel=shrunk_kernel, trace=tuple(trace),
+        f_lo=f_lo, f_hi=f_hi, residual=trace[-1], iterations=iterations, shrunk_kernel=req.k2, trace=tuple(trace)
+    )
+
+
+def _attempt(g, req, k1, k2, solve_lo, rng):
+    """One practical attempt at working kernels ``k1``/``k2``: draw the
+    factor that is not solved, with fan-in scaling, and solve the other
+    (f_lo when ``solve_lo``, else f_hi) once against g zero-padded to
+    k1+k2-1.  f_lo is solved as the adjoint of an upper solve, the
+    arithmetic of ``lstsq_factor_step``'s lower side.  The factors come
+    back zero-padded to ``req.k1``/``req.k2``, unbalanced; the drawn
+    side's working kernel is the shrunk kernel."""
+    g_tilde = pad_filter(g, k1 + k2 - 1)
+    c_lp1, c_lm1 = g.shape[:2]
+    if solve_lo:
+        f_hi = rng.standard_normal((c_lp1, req.c_l, k2, k2)) / np.sqrt(req.c_l * k2 * k2)
+        f_lo, res = lstsq_factor_step(_adjoint(g_tilde), _adjoint(f_hi), "upper")
+        f_lo = _adjoint(f_lo)
+    else:
+        f_lo = rng.standard_normal((req.c_l, c_lm1, k1, k1)) / np.sqrt(c_lm1 * k1 * k1)
+        f_hi, res = lstsq_factor_step(g_tilde, f_lo, "upper")
+    residual = res / (float(np.linalg.norm(g_tilde)) or 1.0)
+    return MorphOutcome(
+        f_lo=pad_filter(f_lo, req.k1), f_hi=pad_filter(f_hi, req.k2), residual=residual,
+        iterations=1, shrunk_kernel=k2 if solve_lo else k1, trace=(residual,),
     )
 
 
@@ -120,13 +142,14 @@ def _rebalanced(outcome: MorphOutcome) -> MorphOutcome:
 def morph_general(g, req: DepthMorphRequest) -> MorphOutcome:
     """Alternating-least-squares factorization of g (general algorithm)."""
     g = as_filter(g)
-    return _rebalanced(_alternate(g, req, req.k1, req.k2, req.k2, make_rng(req.seed), req.max_iter))
+    return _rebalanced(_alternate(g, req, make_rng(req.seed)))
 
 
 def morph_practical(g, req: DepthMorphRequest) -> MorphOutcome:
-    """Single-iteration factorization with kernel shrinking (practical
-    algorithm).  Requires that at least one factor has as many parameters
-    as the parent filter ("expands" it)."""
+    """One-solve factorization with kernel shrinking (practical algorithm).
+    Requires that at least one factor has as many parameters as the parent
+    filter ("expands" it).  Each attempt draws the factor on its shrinking
+    side and solves the expanding one once."""
     g = as_filter(g)
     c_lp1, c_lm1, k, _ = g.shape
     _growth(k, req.k1 + req.k2 - 1)
@@ -138,16 +161,16 @@ def morph_practical(g, req: DepthMorphRequest) -> MorphOutcome:
             "neither factor has enough parameters to absorb the parent filter "
             f"(need {count_g}, have lo={req.c_l * c_lm1 * req.k1**2}, hi={c_lp1 * req.c_l * req.k2**2})"
         )
-    # (k1, k2, shrunk kernel) attempts: shrink the non-expanding side's
-    # kernel; when both sides expand, shrink the side with the smaller
-    # kernel first (K2 on a tie).
-    upper = [(req.k1, kr, kr) for kr in range(req.k2, 0, -2)] if lo_expands else []
-    lower = [(kr, req.k2, kr) for kr in range(req.k1, 0, -2)] if hi_expands else []
+    # (k1, k2, solve f_lo) attempts: shrink the non-expanding side's kernel
+    # and solve the expanding side; when both sides expand, shrink the side
+    # with the smaller kernel first (K2 on a tie).
+    upper = [(req.k1, kr, True) for kr in range(req.k2, 0, -2)] if lo_expands else []
+    lower = [(kr, req.k2, False) for kr in range(req.k1, 0, -2)] if hi_expands else []
     rng = make_rng(req.seed)
-    for k1, k2, shrunk_kernel in upper + lower if req.k2 <= req.k1 else lower + upper:
+    for k1, k2, solve_lo in upper + lower if req.k2 <= req.k1 else lower + upper:
         if k1 + k2 - 1 < k:
             continue
-        outcome = _alternate(g, req, k1, k2, shrunk_kernel, rng, 1)
+        outcome = _attempt(g, req, k1, k2, solve_lo, rng)
         if outcome.residual <= req.tol:
             return _rebalanced(outcome)
     raise InfeasibleMorphError(
@@ -207,7 +230,7 @@ def _depth_child(net: NetworkDef, req: DepthMorphRequest, algorithm: str):
     # looked up per call, so a rebinding of the module's solver names is seen
     solver = {"general": morph_general, "practical": morph_practical}.get(algorithm)
     if solver is None:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+        raise ShapeError(f"unknown algorithm {algorithm!r}")
     outcome = solver(target.weights, req)
     if not outcome.residual <= req.tol:  # also rejects a NaN residual
         raise InfeasibleMorphError(

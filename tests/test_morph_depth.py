@@ -6,12 +6,14 @@ import pytest
 from netmorph import (
     ConvLayer,
     ConvSpec,
+    Dataset,
     DepthMorphRequest,
     InfeasibleMorphError,
     NetworkDef,
     PActLayer,
     ShapeError,
     SubnetMorphRequest,
+    TrainConfig,
     build_network,
     check_preservation,
     compose_filters,
@@ -25,6 +27,7 @@ from netmorph import (
     parse_arch,
     rebalance,
     same_pad_conv,
+    train_sgd,
 )
 from netmorph import morph_depth, tensor_ops
 
@@ -178,13 +181,13 @@ class TestMorphPractical:
         # but one 3x3/3x3 step misses it on either side, and the two 1x1
         # candidates are skipped: 3x3 composed with 1x1 cannot reach 5x5
         attempts = []
-        alternate = morph_depth._alternate
+        attempt = morph_depth._attempt
 
         def recording(g, req, k1, k2, *rest):
             attempts.append((k1, k2))
-            return alternate(g, req, k1, k2, *rest)
+            return attempt(g, req, k1, k2, *rest)
 
-        monkeypatch.setattr(morph_depth, "_alternate", recording)
+        monkeypatch.setattr(morph_depth, "_attempt", recording)
         g = make_rng(38).standard_normal((1, 1, 5, 5))
         with pytest.raises(InfeasibleMorphError, match="kernel shrinking exhausted"):
             morph_practical(g, DepthMorphRequest(layer_index=0, c_l=3, k1=3, k2=3, seed=0))
@@ -220,6 +223,39 @@ class TestMorphPractical:
         assert shapes and max(m * n for m, n in shapes) <= 800 * 256, shapes
         err = np.linalg.norm(compose_filters(out.f_lo, out.f_hi) - g) / np.linalg.norm(g)
         assert err <= req.tol
+
+    @pytest.mark.parametrize(
+        "shape, c_l, k1, k2",
+        [
+            ((32, 48, 5, 5), 96, 3, 3),
+            ((32, 3, 5, 5), 128, 5, 1),
+            ((32, 32, 5, 5), 128, 5, 1),
+            ((64, 32, 5, 5), 256, 5, 1),
+            ((10, 784, 1, 1), 50, 1, 1),
+        ],
+        ids=["morph-chain-3x3", "cifar-5x5-3", "cifar-5x5-32", "cifar-5x5-64", "mnist-784-50-10"],
+    )
+    def test_one_factor_solve_per_attempt(self, monkeypatch, shape, c_l, k1, k2):
+        # the benchmark's depth morphs converge at their first attempt, which
+        # draws the non-expanding factor and solves the expanding one once,
+        # through one Gram factorization and no dense lstsq
+        calls = {"solve": 0, "gram": 0, "lstsq": 0}
+
+        def counting(name, fn):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return count
+
+        monkeypatch.setattr(morph_depth, "lstsq_factor_step", counting("solve", morph_depth.lstsq_factor_step))
+        monkeypatch.setattr(tensor_ops, "_gram_factor", counting("gram", tensor_ops._gram_factor))
+        monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+        g = make_rng(41).standard_normal(shape)
+        req = DepthMorphRequest(layer_index=0, c_l=c_l, k1=k1, k2=k2, seed=7)
+        out = morph_practical(g, req)
+        assert calls == {"solve": 1, "gram": 1, "lstsq": 0}
+        assert out.residual <= req.tol and out.trace == (out.residual,)
 
     def test_3x3_pair_solves_through_gram_matrices(self, monkeypatch):
         # (3:96)(3:32) on a (32, 48, 5, 5) conv: both 3x3 factor steps are
@@ -370,14 +406,34 @@ class TestRebalance:
 
 
 class TestAllZeroFilter:
-    """An all-zero filter factors into a pair of all-zero factors, which
-    already compose to it and are kept rather than rebalanced."""
+    """An all-zero filter factors into a pair with an all-zero factor, which
+    already composes to it and is kept rather than rebalanced: the general
+    solver alternates to two zero factors, and the practical solver solves
+    the expanding factor to zero against a drawn, nonzero one."""
 
     @pytest.mark.parametrize("solver", [morph_practical, morph_general])
     def test_factors_are_zero(self, solver):
         outcome = solver(np.zeros((4, 2, 3, 3)), DepthMorphRequest(layer_index=0, c_l=8, k1=3, k2=3))
         assert outcome.residual == 0.0
-        assert not outcome.f_lo.any() and not outcome.f_hi.any()
+        if solver is morph_general:
+            assert not outcome.f_lo.any() and not outcome.f_hi.any()
+        else:
+            # both sides expand; K2 shrinks first, so f_hi is drawn and f_lo solved
+            assert not outcome.f_lo.any() and outcome.f_hi.any()
+            assert not compose_filters(outcome.f_lo, outcome.f_hi).any()
+
+    def test_zero_factor_of_a_child_trains(self):
+        # Two zero factors would stay zero: every gradient of the block is
+        # zero.  A drawn f_hi gives the solved zero f_lo a gradient at the
+        # first SGD step (mnist-train's settings).
+        parent = build_network([ConvSpec(1, 10)], (20, 1, 1), init="zeros", activations=False)
+        child = insert_depth(parent, DepthMorphRequest(layer_index=0, c_l=16, k1=1, k2=1))
+        assert not child.layers[0].weights.any() and child.layers[2].weights.any()
+        rng = make_rng(5)
+        data = Dataset(images=rng.random((64, 20, 1, 1)), labels=rng.integers(0, 10, size=64))
+        cfg = TrainConfig(learning_rate=0.05, batch_size=64, epochs=1, momentum=0.9, a_learning_rate=0.01)
+        trained, _ = train_sgd(child, data, cfg)
+        assert trained.layers[0].weights.any()
 
     def test_depth_and_subnet_children_verify(self):
         parent = build_network(parse_arch("(3:4)(3:4)"), (2, 8, 8), init="zeros")
@@ -455,6 +511,11 @@ class TestInsertDepth:
         parent = make_parent()
         with pytest.raises(InfeasibleMorphError, match=r"did not converge: residual .* > tol 1e-08 after 20 iterations"):
             insert_depth(parent, req, algorithm="general")
+
+    def test_unknown_algorithm_raises(self):
+        parent = self._parent(47)
+        with pytest.raises(ShapeError, match="unknown algorithm 'fast'"):
+            insert_depth(parent, DepthMorphRequest(layer_index=0, c_l=8, k1=3, k2=1), algorithm="fast")
 
     def test_non_conv_target_raises(self):
         parent = self._parent(46)

@@ -110,13 +110,13 @@ def test_cli_depth_morph_reaches_the_traced_solver(tmp_path, capsys):
 @pytest.mark.parametrize("shape", [(4, 3, 3, 3), (8, 2, 3, 3)], ids=["shrink-upper", "shrink-lower"])
 def test_every_shrink_attempt_is_counted(shape):
     # Both requests converge at their second attempt (3x3, then 1x1 on the
-    # shrinking side); each attempt is one upper and one lower factor solve.
+    # shrinking side); one solve per attempt.
     g = make_rng(42).standard_normal(shape)
     req = DepthMorphRequest(layer_index=0, c_l=4, k1=3, k2=3)
     outcome, calls, counters = _traced(lambda: netmorph.morph_depth.morph_practical(g, req))
     assert outcome.shrunk_kernel == 1
     assert calls["morph_depth.morph_practical"] == 1
-    assert calls["tensor_ops.lstsq_factor_step"] == 4
+    assert calls["tensor_ops.lstsq_factor_step"] == 2
     assert counters["morph_depth.shrink_attempts"] == 2
 
 

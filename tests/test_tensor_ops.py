@@ -420,6 +420,15 @@ class TestLstsqFactorStep:
         with pytest.raises(ShapeError):
             lstsq_factor_step(np.zeros((2, 3, 3, 3)), np.zeros((2, 4, 1, 1)), "upper")
 
+    def test_lower_shape_inconsistency_raises(self):
+        with pytest.raises(ShapeError, match="fixed upper factor has 3 output channels, target has 2"):
+            lstsq_factor_step(np.zeros((2, 3, 3, 3)), np.zeros((3, 4, 1, 1)), "lower")
+
+    @pytest.mark.parametrize("solve_side", ["upper", "lower"])
+    def test_fixed_kernel_above_target_raises(self, solve_side):
+        with pytest.raises(ShapeError, match="fixed kernel 5 exceeds target kernel 3"):
+            lstsq_factor_step(np.zeros((2, 2, 3, 3)), np.zeros((2, 2, 5, 5)), solve_side)
+
     def test_bad_side_raises(self):
         with pytest.raises(ValueError):
             lstsq_factor_step(np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), "sideways")
